@@ -342,12 +342,68 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions
 
-def _conv_geometry(length: int, width: int, stride: int) -> tuple[int, int, int, int]:
-    """Output length and left/right zero padding for same-style conv."""
+def _conv_geometry(length: int, width: int, stride: int) -> tuple[int, int, int]:
+    """Output length and total/left zero padding for same-style conv."""
     out_len = -(-length // stride)
     pad_total = max((out_len - 1) * stride + width - length, 0)
-    pad_left = pad_total // 2
-    return out_len, pad_total, pad_left, (out_len - 1) * stride + 1
+    return out_len, pad_total, pad_total // 2
+
+
+def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
+                in_axis: int) -> tuple[int, int]:
+    """Validate a conv call; return (length, width). `in_axis` is the
+    weight axis that meets x's channels: 1 for conv1d, 2 for its transpose.
+    """
+    if x.data.ndim != 3 or w.data.ndim != 3:
+        raise ShapeMismatchError(f"{op} expects a (B,L,C) input and a (width,C,C) weight")
+    _, length, cin = x.data.shape
+    width, wcin, cout = w.data.shape[0], w.data.shape[in_axis], w.data.shape[3 - in_axis]
+    if wcin != cin:
+        raise ShapeMismatchError(f"{op} channel mismatch: input {cin}, weight {wcin}")
+    if width % 2 == 0:
+        raise ShapeMismatchError(f"{op} filter width must be odd, got {width}")
+    if length < 1 or stride < 1:
+        raise ShapeMismatchError(f"{op} needs L >= 1 and stride >= 1")
+    if b is not None and b.data.shape != (cout,):
+        raise ShapeMismatchError(f"{op} bias shape {b.data.shape} != ({cout},)")
+    return length, width
+
+
+# The three tap loops below serve both convolutions. A tap k connects long
+# position o*stride + k with short position o through w[k] (long channels,
+# short channels): conv1d runs long -> short, conv1d_transpose short -> long.
+
+def _pad(a: np.ndarray, pad_total: int, pad_left: int) -> np.ndarray:
+    out = np.zeros((a.shape[0], a.shape[1] + pad_total, a.shape[2]), dtype=a.dtype)
+    out[:, pad_left:pad_left + a.shape[1]] = a
+    return out
+
+
+def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dtype) -> np.ndarray:
+    """Long -> short: out[:, o] = sum_k long[:, o*stride + k] @ w[k]."""
+    span = (short_len - 1) * stride + 1
+    out = np.zeros((long.shape[0], short_len, w.shape[2]), dtype=dtype)
+    for k in range(w.shape[0]):
+        out += long[:, k:k + span:stride] @ w[k]
+    return out
+
+
+def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype) -> np.ndarray:
+    """Short -> long, the adjoint of _correlate: out[:, o*stride + k] += short[:, o] @ w[k].T."""
+    span = (short.shape[1] - 1) * stride + 1
+    out = np.zeros((short.shape[0], long_len, w.shape[1]), dtype=dtype)
+    for k in range(w.shape[0]):
+        out[:, k:k + span:stride] += short @ w[k].T
+    return out
+
+
+def _tap_grad(long: np.ndarray, short: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Gradient of <short, _correlate(long, w)> with respect to w."""
+    span = (short.shape[1] - 1) * stride + 1
+    gw = np.empty_like(w)
+    for k in range(w.shape[0]):
+        gw[k] = np.tensordot(long[:, k:k + span:stride], short, axes=((0, 1), (0, 1)))
+    return gw
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Tensor:
@@ -356,45 +412,23 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
     Zero padding totals width - stride when L divides by the stride (split
     floor left / ceil right), so output length is always ceil(L / stride).
     """
-    if x.data.ndim != 3 or w.data.ndim != 3:
-        raise ShapeMismatchError("conv1d expects x (B,L,Cin) and w (width,Cin,Cout)")
-    batch, length, cin = x.data.shape
-    width, wcin, cout = w.data.shape
-    if wcin != cin:
-        raise ShapeMismatchError(f"conv1d channel mismatch: input {cin}, weight {wcin}")
-    if width % 2 == 0:
-        raise ShapeMismatchError(f"conv1d filter width must be odd, got {width}")
-    if length < 1 or stride < 1:
-        raise ShapeMismatchError("conv1d needs L >= 1 and stride >= 1")
-    if b is not None and b.data.shape != (cout,):
-        raise ShapeMismatchError(f"conv1d bias shape {b.data.shape} != ({cout},)")
-
-    out_len, pad_total, pad_left, span = _conv_geometry(length, width, stride)
-    xp = np.zeros((batch, length + pad_total, cin), dtype=x.data.dtype)
-    xp[:, pad_left:pad_left + length] = x.data
-
-    y = np.zeros((batch, out_len, cout), dtype=x.data.dtype)
-    for k in range(width):
-        y += xp[:, k:k + span:stride] @ w.data[k]
+    length, width = _check_conv("conv1d", x, w, b, stride, in_axis=1)
+    out_len, pad_total, pad_left = _conv_geometry(length, width, stride)
+    xp = _pad(x.data, pad_total, pad_left)
+    y = _correlate(xp, w.data, stride, out_len, x.data.dtype)
     if b is not None:
         y += b.data
 
     parents = (x, w) if b is None else (x, w, b)
     out = _make(y, parents)
     if out._tracked():
-        def back(g, x=x, w=w, b=b, xp=xp, stride=stride, span=span,
-                 pad_left=pad_left, length=length, width=width):
+        def back(g, x=x, w=w, b=b, xp=xp, stride=stride, pad_left=pad_left, length=length):
             if b is not None:
                 _accum(b, g.sum(axis=(0, 1)))
             if w.requires_grad:
-                gw = np.empty_like(w.data)
-                for k in range(width):
-                    gw[k] = np.tensordot(xp[:, k:k + span:stride], g, axes=((0, 1), (0, 1)))
-                _accum(w, gw)
+                _accum(w, _tap_grad(xp, g, w.data, stride))
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for k in range(width):
-                    gxp[:, k:k + span:stride] += g @ w.data[k].T
+                gxp = _scatter(g, w.data, stride, xp.shape[1], xp.dtype)
                 _accum(x, gxp[:, pad_left:pad_left + length])
         out._backward = back
     return out
@@ -407,48 +441,24 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     With zero bias, <conv1d(x, w), y> == <x, conv1d_transpose(y, w)> for any
     w viewed with swapped channel roles (same memory layout).
     """
-    if y.data.ndim != 3 or w.data.ndim != 3:
-        raise ShapeMismatchError("conv1d_transpose expects y (B,L,Cin) and w (width,Cout,Cin)")
-    batch, length, cin = y.data.shape
-    width, cout, wcin = w.data.shape
-    if wcin != cin:
-        raise ShapeMismatchError(
-            f"conv1d_transpose channel mismatch: input {cin}, weight {wcin}")
-    if width % 2 == 0:
-        raise ShapeMismatchError(f"conv1d_transpose filter width must be odd, got {width}")
-    if b is not None and b.data.shape != (cout,):
-        raise ShapeMismatchError(f"conv1d_transpose bias shape {b.data.shape} != ({cout},)")
-
+    length, width = _check_conv("conv1d_transpose", y, w, b, stride, in_axis=2)
     out_len = length * stride
-    pad_total = max(width - stride, 0)
-    pad_left = pad_total // 2
-    span = (length - 1) * stride + 1
-
-    op = np.zeros((batch, out_len + pad_total, cout), dtype=y.data.dtype)
-    for k in range(width):
-        op[:, k:k + span:stride] += y.data @ w.data[k].T
+    _, pad_total, pad_left = _conv_geometry(out_len, width, stride)
+    op = _scatter(y.data, w.data, stride, out_len + pad_total, y.data.dtype)
     res = op[:, pad_left:pad_left + out_len]
     res = res + b.data if b is not None else res.copy()
 
     parents = (y, w) if b is None else (y, w, b)
     out = _make(res, parents)
     if out._tracked():
-        def back(g, y=y, w=w, b=b, stride=stride, span=span, width=width,
-                 pad_total=pad_total, pad_left=pad_left, out_len=out_len):
+        def back(g, y=y, w=w, b=b, stride=stride, pad_total=pad_total, pad_left=pad_left):
             if b is not None:
                 _accum(b, g.sum(axis=(0, 1)))
-            gp = np.zeros((g.shape[0], out_len + pad_total, g.shape[2]), dtype=g.dtype)
-            gp[:, pad_left:pad_left + out_len] = g
+            gp = _pad(g, pad_total, pad_left)
             if w.requires_grad:
-                gw = np.empty_like(w.data)
-                for k in range(width):
-                    gw[k] = np.tensordot(gp[:, k:k + span:stride], y.data, axes=((0, 1), (0, 1)))
-                _accum(w, gw)
+                _accum(w, _tap_grad(gp, y.data, w.data, stride))
             if y.requires_grad:
-                gy = np.zeros_like(y.data)
-                for k in range(width):
-                    gy += gp[:, k:k + span:stride] @ w.data[k]
-                _accum(y, gy)
+                _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype))
         out._backward = back
     return out
 

@@ -11,7 +11,7 @@ conv and a final linear neuron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -106,46 +106,57 @@ class Discriminator:
                 self.head_w, self.head_b, self.out_w, self.out_b]
 
 
-def build_generator(cfg: GeneratorConfig, seed: int = 0) -> Generator:
+def _seeded_maker(seed: int):
+    """Parameter maker for fresh networks: `fill` is a constant, or None for
+    a N(0, WEIGHT_STD) draw; draws follow the order of the make calls."""
     rng = np.random.default_rng(seed)
-    wdt = np.float32
+
+    def make(name, shape, fill):
+        data = rng.normal(0, WEIGHT_STD, shape) if fill is None else np.full(shape, fill)
+        return Parameter(name, data, dtype=np.float32)
+    return make
+
+
+def _generator(cfg: GeneratorConfig, make) -> Generator:
+    """The generator's parameter layout, made in `parameters()` order."""
     width = cfg.filter_width
-    enc_in = _enc_in_channels(cfg)
-    enc_w, enc_b, enc_a = [], [], []
-    for k, (cin, cout) in enumerate(zip(enc_in, cfg.enc_channels), start=1):
-        enc_w.append(Parameter(f"g.enc{k}.w", rng.normal(0, WEIGHT_STD, (width, cin, cout)), dtype=wdt))
-        enc_b.append(Parameter(f"g.enc{k}.b", np.zeros(cout), dtype=wdt))
-        enc_a.append(Parameter(f"g.enc{k}.a", np.full(cout, PRELU_INIT), dtype=wdt))
+    enc = list(enumerate(zip(_enc_in_channels(cfg), cfg.enc_channels), start=1))
     # decoder layer k mirrors encoder layer k: outputs enc_in[k-1] channels;
     # the deepest input is bottleneck+z, every other input is doubled by a skip
-    dec_w, dec_b, dec_a = [], [], []
-    for k in range(cfg.depth, 0, -1):
-        cout = enc_in[k - 1]
-        cin = cfg.enc_channels[-1] + cfg.z_channels if k == cfg.depth else 2 * cfg.enc_channels[k - 1]
-        dec_w.append(Parameter(f"g.dec{k}.w", rng.normal(0, WEIGHT_STD, (width, cout, cin)), dtype=wdt))
-        dec_b.append(Parameter(f"g.dec{k}.b", np.zeros(cout), dtype=wdt))
-        if k > 1:
-            dec_a.append(Parameter(f"g.dec{k}.a", np.full(cout, PRELU_INIT), dtype=wdt))
-    return Generator(cfg, enc_w, enc_b, enc_a, dec_w, dec_b, dec_a)
+    dec = [(k, enc_cin, 2 * cfg.enc_channels[k - 1] if k < cfg.depth
+            else cfg.enc_channels[-1] + cfg.z_channels) for k, (enc_cin, _) in reversed(enc)]
+    return Generator(
+        cfg,
+        [make(f"g.enc{k}.w", (width, cin, cout), None) for k, (cin, cout) in enc],
+        [make(f"g.enc{k}.b", (cout,), 0.0) for k, (_, cout) in enc],
+        [make(f"g.enc{k}.a", (cout,), PRELU_INIT) for k, (_, cout) in enc],
+        [make(f"g.dec{k}.w", (width, cout, cin), None) for k, cout, cin in dec],
+        [make(f"g.dec{k}.b", (cout,), 0.0) for k, cout, _ in dec],
+        [make(f"g.dec{k}.a", (cout,), PRELU_INIT) for k, cout, _ in dec if k > 1])
+
+
+def _discriminator(cfg: GeneratorConfig, make) -> Discriminator:
+    """The discriminator's parameter layout, made in `parameters()` order."""
+    width = cfg.filter_width
+    conv = list(enumerate(zip([2] + list(cfg.enc_channels[:-1]), cfg.enc_channels), start=1))
+    return Discriminator(
+        cfg,
+        [make(f"d.conv{k}.w", (width, cin, cout), None) for k, (cin, cout) in conv],
+        [make(f"d.conv{k}.b", (cout,), 0.0) for k, (_, cout) in conv],
+        [make(f"d.vbn{k}.gamma", (cout,), 1.0) for k, (_, cout) in conv],
+        [make(f"d.vbn{k}.beta", (cout,), 0.0) for k, (_, cout) in conv],
+        make("d.head.w", (1, cfg.enc_channels[-1], 1), None),
+        make("d.head.b", (1,), 0.0),
+        make("d.out.w", (cfg.bottleneck_len, 1), None),
+        make("d.out.b", (1,), 0.0))
+
+
+def build_generator(cfg: GeneratorConfig, seed: int = 0) -> Generator:
+    return _generator(cfg, _seeded_maker(seed))
 
 
 def build_discriminator(cfg: GeneratorConfig, seed: int = 0) -> Discriminator:
-    rng = np.random.default_rng(seed)
-    wdt = np.float32
-    width = cfg.filter_width
-    in_ch = [2] + list(cfg.enc_channels[:-1])
-    conv_w, conv_b, gamma, beta = [], [], [], []
-    for k, (cin, cout) in enumerate(zip(in_ch, cfg.enc_channels), start=1):
-        conv_w.append(Parameter(f"d.conv{k}.w", rng.normal(0, WEIGHT_STD, (width, cin, cout)), dtype=wdt))
-        conv_b.append(Parameter(f"d.conv{k}.b", np.zeros(cout), dtype=wdt))
-        gamma.append(Parameter(f"d.vbn{k}.gamma", np.ones(cout), dtype=wdt))
-        beta.append(Parameter(f"d.vbn{k}.beta", np.zeros(cout), dtype=wdt))
-    top = cfg.enc_channels[-1]
-    head_w = Parameter("d.head.w", rng.normal(0, WEIGHT_STD, (1, top, 1)), dtype=wdt)
-    head_b = Parameter("d.head.b", np.zeros(1), dtype=wdt)
-    out_w = Parameter("d.out.w", rng.normal(0, WEIGHT_STD, (cfg.bottleneck_len, 1)), dtype=wdt)
-    out_b = Parameter("d.out.b", np.zeros(1), dtype=wdt)
-    return Discriminator(cfg, conv_w, conv_b, gamma, beta, head_w, head_b, out_w, out_b)
+    return _discriminator(cfg, _seeded_maker(seed))
 
 
 def _as_bwc(x, window: int) -> Tensor:
@@ -158,14 +169,10 @@ def _as_bwc(x, window: int) -> Tensor:
     return t
 
 
-def g_forward(gen: Generator, noisy, z: Tensor, *, skip_gain: float | None = None,
-              detach_bottleneck: bool = False) -> Tensor:
+def g_forward(gen: Generator, noisy, z: Tensor) -> Tensor:
     """Enhance a batch of windows. noisy: (B, window, 1); z matches the
     bottleneck (B, bottleneck_len, z_channels); output (B, window, 1) in
     (-1, 1).
-
-    skip_gain / detach_bottleneck are test-only ablation knobs: scale the
-    skip tensors or cut the gradient path through the bottleneck.
     """
     cfg = gen.cfg
     x = _as_bwc(noisy, cfg.window)
@@ -177,16 +184,11 @@ def g_forward(gen: Generator, noisy, z: Tensor, *, skip_gain: float | None = Non
     for w, b, a in zip(gen.enc_w, gen.enc_b, gen.enc_a):
         h = eg.prelu(eg.conv1d(h, w, b, stride=cfg.stride), a)
         enc_out.append(h)
-    c = enc_out[-1].detach() if detach_bottleneck else enc_out[-1]
-    h = eg.concat_channels(c, z)
+    h = eg.concat_channels(enc_out[-1], z)
     for i, k in enumerate(range(cfg.depth, 0, -1)):
         h = eg.conv1d_transpose(h, gen.dec_w[i], gen.dec_b[i], stride=cfg.stride)
         if k > 1:
-            h = eg.prelu(h, gen.dec_a[i])
-            skip = enc_out[k - 2]
-            if skip_gain is not None:
-                skip = eg.mul(skip, Tensor(np.asarray(skip_gain, skip.data.dtype)))
-            h = eg.concat_channels(h, skip)
+            h = eg.concat_channels(eg.prelu(h, gen.dec_a[i]), enc_out[k - 2])
         else:
             h = eg.tanh(h)
     return h
@@ -312,54 +314,36 @@ def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None
     stored = load_tensors(path)
     cfg = _cfg_from_tensors(stored, path)
     if expect_cfg is not None:
-        for name, have, want in [
-            ("cfg.window", cfg.window, expect_cfg.window),
-            ("cfg.filter_width", cfg.filter_width, expect_cfg.filter_width),
-            ("cfg.stride", cfg.stride, expect_cfg.stride),
-            ("cfg.enc_channels", cfg.enc_channels, expect_cfg.enc_channels),
-            ("cfg.z_channels", cfg.z_channels, expect_cfg.z_channels),
-        ]:
+        for field in fields(GeneratorConfig):
+            have, want = getattr(cfg, field.name), getattr(expect_cfg, field.name)
             if have != want:
-                raise CorruptCheckpointError(f"{path}: {name} is {have}, expected {want}")
+                raise CorruptCheckpointError(f"{path}: cfg.{field.name} is {have}, expected {want}")
     consumed = set(_cfg_tensors(cfg))
 
-    def fill(p: Parameter):
-        if p.name not in stored:
-            raise CorruptCheckpointError(f"{path}: missing tensor {p.name}")
-        arr = stored[p.name]
-        if arr.shape != p.data.shape:
+    def take(name, shape):
+        if name not in stored:
+            raise CorruptCheckpointError(f"{path}: missing tensor {name}")
+        if stored[name].shape != shape:
             raise CorruptCheckpointError(
-                f"{path}: tensor {p.name} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(np.float32)
-        consumed.add(p.name)
+                f"{path}: tensor {name} has shape {stored[name].shape}, expected {shape}")
+        consumed.add(name)
+        return stored[name]
 
-    gen = build_generator(cfg, seed=0)
-    for p in gen.parameters():
-        fill(p)
+    def make(name, shape, fill):
+        return Parameter(name, take(name, shape), dtype=np.float32)
 
+    gen = _generator(cfg, make)
     disc = None
     if any(name.startswith("d.") for name in stored):
-        disc = build_discriminator(cfg, seed=0)
-        for p in disc.parameters():
-            fill(p)
+        disc = _discriminator(cfg, make)
         if "d.n_ref" not in stored:
             raise CorruptCheckpointError(f"{path}: missing tensor d.n_ref")
         disc.n_ref = int(round(float(stored["d.n_ref"][0])))
         consumed.add("d.n_ref")
-        means, variances = [], []
-        for i in range(1, cfg.depth + 1):
-            for buf, tag in ((means, "ref_mean"), (variances, "ref_var")):
-                name = f"d.vbn{i}.{tag}"
-                if name not in stored:
-                    raise CorruptCheckpointError(f"{path}: missing tensor {name}")
-                want = (cfg.enc_channels[i - 1],)
-                if stored[name].shape != want:
-                    raise CorruptCheckpointError(
-                        f"{path}: tensor {name} has shape {stored[name].shape}, expected {want}")
-                buf.append(stored[name])
-                consumed.add(name)
-        disc.ref_mean = means
-        disc.ref_var = variances
+        disc.ref_mean, disc.ref_var = [], []
+        for i, ch in enumerate(cfg.enc_channels, start=1):
+            disc.ref_mean.append(take(f"d.vbn{i}.ref_mean", (ch,)))
+            disc.ref_var.append(take(f"d.vbn{i}.ref_var", (ch,)))
 
     extra = set(stored) - consumed
     if extra:

@@ -81,6 +81,13 @@ def _micro_slices(batch_size: int, accum_steps: int) -> list[slice]:
     return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+def _finite_mean(step: int, name: str, vals: list[float]) -> float:
+    v = float(np.mean(vals))
+    if not np.isfinite(v):
+        raise NonFiniteLossError(f"step {step}: {name} is {v}; aborting")
+    return v
+
+
 def train_step(gen: Generator, disc: Discriminator | None,
                g_opt: RMSprop, d_opt: RMSprop | None,
                noisy: np.ndarray, clean: np.ndarray, z: Tensor,
@@ -89,7 +96,8 @@ def train_step(gen: Generator, disc: Discriminator | None,
     (B, window, 1) float arrays; z: (B, bottleneck_len, z_channels).
 
     With accum_steps > 1 the batch is split into micro-batches whose
-    gradients are summed before each optimizer step.
+    gradients are summed before each optimizer step. A non-finite loss
+    raises NonFiniteLossError before its optimizer step can apply it.
     """
     mcfg = gen.cfg
     if noisy.ndim == 2:
@@ -113,8 +121,8 @@ def train_step(gen: Generator, disc: Discriminator | None,
             loss = eg.lsq_loss(d_forward(disc, ct, nt), 1.0)
             backward(loss)
             vals.append(loss.item())
+        d_real = _finite_mean(step, "d_real", vals)
         d_opt.step()
-        d_real = float(np.mean(vals))
 
     fakes = [g_forward(gen, nt, zt) for nt, zt in zip(noisy_t, z_t)]
 
@@ -125,8 +133,8 @@ def train_step(gen: Generator, disc: Discriminator | None,
             loss = eg.lsq_loss(d_forward(disc, fake.detach(), nt), 0.0)
             backward(loss)
             vals.append(loss.item())
+        d_fake = _finite_mean(step, "d_fake", vals)
         d_opt.step()
-        d_fake = float(np.mean(vals))
 
     g_opt.zero_grad()
     adv_vals, l1_vals = [], []
@@ -140,16 +148,11 @@ def train_step(gen: Generator, disc: Discriminator | None,
             total = eg.mul(l1, lam)
         backward(total)
         l1_vals.append(l1.item())
-    g_opt.step()
     if adv_vals:
-        g_adv = float(np.mean(adv_vals))
-    g_l1 = float(np.mean(l1_vals))
-
-    report = StepReport(step, d_real, d_fake, g_adv, g_l1)
-    for name, v in (("d_real", d_real), ("d_fake", d_fake), ("g_adv", g_adv), ("g_l1", g_l1)):
-        if not np.isfinite(v):
-            raise NonFiniteLossError(f"step {step}: {name} is {v}; aborting")
-    return report
+        g_adv = _finite_mean(step, "g_adv", adv_vals)
+    g_l1 = _finite_mean(step, "g_l1", l1_vals)
+    g_opt.step()
+    return StepReport(step, d_real, d_fake, g_adv, g_l1)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import conv1d_oracle, conv1d_transpose_oracle
 
@@ -182,13 +182,37 @@ def test_conv1d_matches_bruteforce():
 def test_conv1d_transpose_matches_bruteforce():
     rng = np.random.default_rng(1)
     for length, width, stride, cin, cout in [(4, 3, 2, 1, 1), (6, 5, 2, 3, 2),
-                                             (5, 3, 1, 2, 2), (3, 7, 3, 1, 2)]:
+                                             (5, 3, 1, 2, 2), (3, 7, 3, 1, 2),
+                                             (5, 1, 1, 2, 3), (4, 1, 2, 3, 1),
+                                             (3, 5, 4, 2, 2), (4, 3, 4, 1, 2)]:
         y = rng.standard_normal((2, length, cin))
         w = rng.standard_normal((width, cout, cin))
         b = rng.standard_normal(cout)
         got = eg.conv1d_transpose(Tensor(y), Tensor(w), Tensor(b), stride=stride).data
         want = conv1d_transpose_oracle(y, w, b, stride)
         assert np.allclose(got, want, atol=1e-12), (length, width, stride)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_conv_and_transpose_are_each_others_gradients_bitwise(width, stride):
+    # conv1d_transpose(y, w) is conv1d's x-gradient for upstream y, conv1d(x, w)
+    # is conv1d_transpose's y-gradient for upstream x, and both give the same
+    # weight gradient; float32, widths below and above the stride.
+    rng = np.random.default_rng(10 * width + stride)
+    x = rng.standard_normal((2, 5 * stride, 3)).astype(np.float32)
+    y = rng.standard_normal((2, 5, 2)).astype(np.float32)
+    w = rng.standard_normal((width, 3, 2)).astype(np.float32)
+
+    cx, cw = Parameter("x", x), Parameter("w", w)
+    backward(eg.mul(eg.conv1d(cx, cw, stride=stride), Tensor(y)).sum())
+    ty, tw = Parameter("y", y), Parameter("w", w)
+    backward(eg.mul(eg.conv1d_transpose(ty, tw, stride=stride), Tensor(x)).sum())
+
+    assert np.array_equal(cx.grad, eg.conv1d_transpose(Tensor(y), Tensor(w), stride=stride).data)
+    assert np.array_equal(ty.grad, eg.conv1d(Tensor(x), Tensor(w), stride=stride).data)
+    assert np.array_equal(cw.grad, tw.grad)
+    assert cx.grad.dtype == ty.grad.dtype == cw.grad.dtype == np.float32
 
 
 def test_conv1d_identity_kernel():
@@ -249,6 +273,11 @@ def test_conv_validation_errors():
         eg.conv1d(x, Tensor(np.zeros((3, 2, 1))), b=Tensor(np.zeros(2)))
     with pytest.raises(ShapeMismatchError):
         eg.conv1d_transpose(x, Tensor(np.zeros((3, 1, 3))))
+    for stride in (0, -1):
+        with pytest.raises(ShapeMismatchError):
+            eg.conv1d(x, Tensor(np.zeros((3, 2, 1))), stride=stride)
+        with pytest.raises(ShapeMismatchError):
+            eg.conv1d_transpose(x, Tensor(np.zeros((3, 1, 2))), stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +349,9 @@ def test_lsq_loss_target_validation():
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8),
        st.sampled_from([0.0, 1.0]))
 def test_lsq_loss_nonnegative_zero_iff_target(values, target):
+    # Strict positivity holds only while (v - target)**2 is representable:
+    # a gap below ~1e-154 squares to zero in float64.
+    assume(all(v == target or abs(v - target) >= 1e-150 for v in values))
     d = Tensor(np.array(values)[:, None])
     loss = eg.lsq_loss(d, target).item()
     assert loss >= 0.0

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import params_digest
+
+from segan import engine as eg, model
 from segan.checkpoint import load_tensors, save_tensors
 from segan.engine import Tensor, backward, sample_z
 from segan.errors import (ConfigError, CorruptCheckpointError,
@@ -154,21 +157,59 @@ def test_g_forward_validation():
         g_forward(gen, np.zeros((1, 64)), sample_z(1, 8, TINY.z_channels))
 
 
+def _reference_g_forward(gen, noisy, z, skip_gain=None, detach_bottleneck=False):
+    """g_forward rebuilt from engine ops, with two ablations: scale every
+    skip tensor by skip_gain, or cut the gradient path through the bottleneck.
+    """
+    stride = gen.cfg.stride
+    h = Tensor(noisy[..., None])
+    enc_out = []
+    for w, b, a in zip(gen.enc_w, gen.enc_b, gen.enc_a):
+        h = eg.prelu(eg.conv1d(h, w, b, stride=stride), a)
+        enc_out.append(h)
+    bottleneck = enc_out[-1].detach() if detach_bottleneck else enc_out[-1]
+    h = eg.concat_channels(bottleneck, z)
+    skips = enc_out[-2::-1]
+    for i, (w, b) in enumerate(zip(gen.dec_w, gen.dec_b)):
+        h = eg.conv1d_transpose(h, w, b, stride=stride)
+        if i == len(skips):
+            return eg.tanh(h)
+        skip = skips[i]
+        if skip_gain is not None:
+            skip = eg.mul(skip, Tensor(np.asarray(skip_gain, skip.data.dtype)))
+        h = eg.concat_channels(eg.prelu(h, gen.dec_a[i]), skip)
+
+
+def test_reference_forward_matches_g_forward_bitwise():
+    gen = build_generator(TINY, seed=3)
+    noisy = np.random.default_rng(1).uniform(-0.5, 0.5, (2, 64)).astype(np.float32)
+    z = _tiny_z(2)
+    backward(g_forward(gen, noisy, z).sum())
+    grads = [p.grad.copy() for p in gen.parameters()]
+    for p in gen.parameters():
+        p.zero_grad()
+    ref = _reference_g_forward(gen, noisy, z)
+    assert np.array_equal(ref.data, g_forward(gen, noisy, z).data)
+    backward(ref.sum())
+    for p, g in zip(gen.parameters(), grads):
+        assert np.array_equal(p.grad, g), p.name
+
+
 def test_skip_connections_carry_signal():
     gen = build_generator(TINY, seed=3)
     noisy = np.random.default_rng(1).uniform(-0.5, 0.5, (1, 64)).astype(np.float32)
     z = _tiny_z(1)
     base = g_forward(gen, noisy, z).data
-    ablated = g_forward(gen, noisy, z, skip_gain=0.0).data
+    ablated = _reference_g_forward(gen, noisy, z, skip_gain=0.0).data
     assert not np.array_equal(base, ablated)
-    scaled = g_forward(gen, noisy, z, skip_gain=1.0).data
+    scaled = _reference_g_forward(gen, noisy, z, skip_gain=1.0).data
     assert np.allclose(scaled, base, atol=1e-7)
 
 
 def test_detach_bottleneck_leaves_skip_gradients_alive():
     gen = build_generator(TINY, seed=3)
     noisy = np.random.default_rng(1).uniform(-0.5, 0.5, (1, 64)).astype(np.float32)
-    out = g_forward(gen, noisy, _tiny_z(1), detach_bottleneck=True)
+    out = _reference_g_forward(gen, noisy, _tiny_z(1), detach_bottleneck=True)
     backward(out.sum())
     # the deepest encoder layer only feeds the (cut) bottleneck path
     assert np.all(gen.enc_w[-1].grad == 0.0)
@@ -333,6 +374,24 @@ def test_load_names_missing_ref_stats(tmp_path):
     _edit_archive(path, lambda t: t.pop("d.vbn1.ref_mean"))
     with pytest.raises(CorruptCheckpointError, match="d.vbn1.ref_mean"):
         load_checkpoint(path)
+
+
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    gen = build_generator(TINY, seed=6)
+    disc = build_discriminator(TINY, seed=7)
+    set_reference_batch(disc, *_ref_batch(np.random.default_rng(2)))
+    path = tmp_path / "gd.sgn"
+    save_checkpoint(path, gen, disc)
+
+    def no_rng(*_a, **_k):
+        raise AssertionError("load_checkpoint drew random numbers")
+    monkeypatch.setattr(model.np.random, "default_rng", no_rng)
+    loaded_gen, loaded_disc, _ = load_checkpoint(path)
+    assert params_digest(loaded_gen.parameters()) == params_digest(gen.parameters())
+    assert params_digest(loaded_disc.parameters()) == params_digest(disc.parameters())
+    for p in loaded_gen.parameters() + loaded_disc.parameters():
+        assert p.data.dtype == np.float32 and p.data.dtype.isnative
+        assert np.array_equal(p.grad, np.zeros_like(p.data))
 
 
 def test_load_truncated_file(tmp_path):

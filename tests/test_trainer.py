@@ -185,6 +185,28 @@ def test_non_finite_loss_raises():
                    noisy, clean, z, cfg)
 
 
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_non_finite_loss_applies_no_step(adversarial):
+    gen = build_generator(TINY, seed=2)
+    disc = build_discriminator(TINY, seed=3)
+    set_reference_batch(disc, *_batch(np.random.default_rng(0)))
+    g_opt, d_opt = RMSprop(gen.parameters()), RMSprop(disc.parameters())
+    # one finite step first, so the caches hold something to corrupt
+    noisy, clean = _batch(np.random.default_rng(1))
+    z = sample_z(4, TINY.bottleneck_len, TINY.z_channels)
+    cfg = TrainConfig(epochs=1, adversarial=adversarial)
+    train_step(gen, disc, g_opt, d_opt, noisy, clean, z, cfg)
+
+    def state():
+        return [params_digest(gen.parameters()), params_digest(disc.parameters()),
+                [c.tobytes() for c in g_opt.cache + d_opt.cache]]
+    before = state()
+    noisy[0, 5] = np.nan
+    with pytest.raises(NonFiniteLossError):
+        train_step(gen, disc, g_opt, d_opt, noisy, clean, z, cfg, step=1)
+    assert state() == before
+
+
 # ---------------------------------------------------------------------------
 # Full loop
 
