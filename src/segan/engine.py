@@ -369,9 +369,17 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
     return length, width
 
 
-# The three tap loops below serve both convolutions. A tap k connects long
-# position o*stride + k with short position o through w[k] (long channels,
-# short channels): conv1d runs long -> short, conv1d_transpose short -> long.
+# Three kernels serve both convolutions. A tap k connects long position
+# o*stride + k with short position o through w[k] (long channels, short
+# channels): conv1d runs long -> short, conv1d_transpose short -> long.
+# Each kernel is one GEMM per block of short positions over im2col columns
+# (Chellapilla et al. 2006): row o holds the width taps of long channels
+# that meet short position o. Blocks hold whole examples when one fits in
+# _BLOCK_BYTES of columns, else runs of positions of one example, so the
+# scratch memory and the summation order depend on shapes alone.
+
+_BLOCK_BYTES = 2 << 20
+
 
 def _pad(a: np.ndarray, pad_total: int, pad_left: int) -> np.ndarray:
     out = np.zeros((a.shape[0], a.shape[1] + pad_total, a.shape[2]), dtype=a.dtype)
@@ -379,31 +387,73 @@ def _pad(a: np.ndarray, pad_total: int, pad_left: int) -> np.ndarray:
     return out
 
 
+def _columns(long: np.ndarray, stride: int, short_len: int, width: int) -> np.ndarray:
+    """Read-only (B, short_len, width, C) view: [:, o] is long[:, o*stride : o*stride + width]."""
+    sb, sl, sc = long.strides
+    return np.lib.stride_tricks.as_strided(
+        long, (long.shape[0], short_len, width, long.shape[2]), (sb, stride * sl, sl, sc),
+        writeable=False)
+
+
+def _blocks(batch: int, rows: int, row_bytes: int) -> list[tuple[slice, slice]]:
+    """(examples, positions) slices covering batch x rows, each block at
+    most _BLOCK_BYTES of row_bytes-sized rows (one row at the least)."""
+    per = max(1, _BLOCK_BYTES // row_bytes)
+    if per >= rows:
+        n = per // rows
+        return [(slice(b, b + n), slice(0, rows)) for b in range(0, batch, n)]
+    return [(slice(b, b + 1), slice(o, min(o + per, rows)))
+            for b in range(batch) for o in range(0, rows, per)]
+
+
 def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dtype) -> np.ndarray:
     """Long -> short: out[:, o] = sum_k long[:, o*stride + k] @ w[k]."""
-    span = (short_len - 1) * stride + 1
-    out = np.zeros((long.shape[0], short_len, w.shape[2]), dtype=dtype)
-    for k in range(w.shape[0]):
-        out += long[:, k:k + span:stride] @ w[k]
+    width, c_long, c_short = w.shape
+    cols = _columns(long, stride, short_len, width)
+    wk = w.reshape(width * c_long, c_short)
+    out = np.empty((long.shape[0], short_len, c_short), dtype=dtype)
+    for ex, pos in _blocks(long.shape[0], short_len, width * c_long * long.itemsize):
+        blk = cols[ex, pos]
+        out[ex, pos] = (blk.reshape(-1, width * c_long) @ wk).reshape(*blk.shape[:2], c_short)
     return out
 
 
 def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype) -> np.ndarray:
-    """Short -> long, the adjoint of _correlate: out[:, o*stride + k] += short[:, o] @ w[k].T."""
-    span = (short.shape[1] - 1) * stride + 1
-    out = np.zeros((short.shape[0], long_len, w.shape[1]), dtype=dtype)
-    for k in range(w.shape[0]):
-        out[:, k:k + span:stride] += short @ w[k].T
-    return out
+    """Short -> long, the adjoint of _correlate: out[:, o*stride + k] += short[:, o] @ w[k].T.
+
+    Each block's columns come from one GEMM and are folded into the output
+    by strided adds: stride taps per add (contiguous runs of stride * C_long
+    values), or one tap per add when C_long is 1, where runs of two values
+    make numpy's adds 2-4x slower.
+    """
+    width, c_long, c_short = w.shape
+    batch, short_len = short.shape[:2]
+    group = stride if c_long > 1 else 1
+    # room for every tap of every block: rows of stride positions
+    rows = max(-(-long_len // stride), short_len + -(-width // stride))
+    out = np.zeros((batch, rows * stride * c_long), dtype=dtype)
+    wk = w.reshape(width * c_long, c_short).T
+    step = stride * c_long
+    for ex, pos in _blocks(batch, short_len, width * c_long * short.itemsize):
+        blk = short[ex, pos]
+        n = blk.shape[1]
+        cols = (blk.reshape(-1, c_short) @ wk).reshape(blk.shape[0], n, width * c_long)
+        for k in range(0, width, group):
+            c = min(group, width - k) * c_long
+            at = (pos.start * stride + k) * c_long
+            dst = out[ex, at:at + n * step].reshape(-1, n, step)
+            dst[:, :, :c] += cols[:, :, k * c_long:k * c_long + c]
+    return out.reshape(batch, rows * stride, c_long)[:, :long_len]
 
 
 def _tap_grad(long: np.ndarray, short: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Gradient of <short, _correlate(long, w)> with respect to w."""
-    span = (short.shape[1] - 1) * stride + 1
-    gw = np.empty_like(w)
-    for k in range(w.shape[0]):
-        gw[k] = np.tensordot(long[:, k:k + span:stride], short, axes=((0, 1), (0, 1)))
-    return gw
+    width, c_long, c_short = w.shape
+    cols = _columns(long, stride, short.shape[1], width)
+    gw = np.zeros((c_short, width * c_long), dtype=w.dtype)
+    for ex, pos in _blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize):
+        gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
+    return gw.T.reshape(width, c_long, c_short)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Tensor:

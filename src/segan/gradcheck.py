@@ -149,6 +149,18 @@ def _case_conv1d_transpose(rng):
     return lambda: _projected(eg.conv1d_transpose(y, w, b, stride=2), np.random.default_rng(1)), [y, w, b]
 
 
+def _case_conv1d_one_channel(rng):
+    # the enc1 shape class: one input channel, SEGAN's width 31 at stride 2
+    x, w, b = _param(rng, "x", (2, 32, 1)), _param(rng, "w", (31, 1, 4)), _param(rng, "b", (4,))
+    return lambda: _projected(eg.conv1d(x, w, b, stride=2), np.random.default_rng(1)), [x, w, b]
+
+
+def _case_conv1d_transpose_one_channel(rng):
+    # the dec1 shape class: one output channel, width 31 at stride 2
+    y, w, b = _param(rng, "y", (2, 16, 3)), _param(rng, "w", (31, 1, 3)), _param(rng, "b", (1,))
+    return lambda: _projected(eg.conv1d_transpose(y, w, b, stride=2), np.random.default_rng(1)), [y, w, b]
+
+
 def _case_vbn(rng):
     x = _param(rng, "x", (2, 20, 3))
     gamma = Parameter("gamma", rng.uniform(0.5, 1.5, (3,)))
@@ -192,6 +204,8 @@ OP_CASES = {
     "conv1d_stride1": _case_conv1d_s1,
     "conv1d_stride2": _case_conv1d_s2,
     "conv1d_transpose": _case_conv1d_transpose,
+    "conv1d_one_channel": _case_conv1d_one_channel,
+    "conv1d_transpose_one_channel": _case_conv1d_transpose_one_channel,
     "virtual_batch_norm": _case_vbn,
     "l1_loss": _case_l1_loss,
     "lsq_loss": _case_lsq_loss,

@@ -309,9 +309,19 @@ def save_checkpoint(path, gen: Generator, disc: Discriminator | None = None) -> 
     save_tensors(path, tensors)
 
 
-def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None
+def _d_payload(name: str) -> bool:
+    """A discriminator tensor whose values only matter to a built D."""
+    return name.startswith("d.") and name != "d.n_ref"
+
+
+def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None,
+                    discriminator: bool = True
                     ) -> tuple[Generator, Discriminator | None, GeneratorConfig]:
-    stored = load_tensors(path)
+    """Build G, and D when the file holds one, straight from the stored
+    tensors. With discriminator=False the D tensors get every check but
+    their payloads are not read, and None stands in for D.
+    """
+    stored = load_tensors(path, skip=None if discriminator else _d_payload)
     cfg = _cfg_from_tensors(stored, path)
     if expect_cfg is not None:
         for field in fields(GeneratorConfig):
@@ -332,10 +342,13 @@ def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None
     def make(name, shape, fill):
         return Parameter(name, take(name, shape), dtype=np.float32)
 
+    def check(name, shape, fill):
+        return take(name, shape)
+
     gen = _generator(cfg, make)
     disc = None
     if any(name.startswith("d.") for name in stored):
-        disc = _discriminator(cfg, make)
+        disc = _discriminator(cfg, make if discriminator else check)
         if "d.n_ref" not in stored:
             raise CorruptCheckpointError(f"{path}: missing tensor d.n_ref")
         disc.n_ref = int(round(float(stored["d.n_ref"][0])))
@@ -348,4 +361,4 @@ def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None
     extra = set(stored) - consumed
     if extra:
         raise CorruptCheckpointError(f"{path}: unexpected tensor {sorted(extra)[0]}")
-    return gen, disc, cfg
+    return gen, disc if discriminator else None, cfg

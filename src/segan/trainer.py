@@ -11,6 +11,7 @@ update between them does not involve the generator's tensors).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +89,20 @@ def _finite_mean(step: int, name: str, vals: list[float]) -> float:
     return v
 
 
+@contextmanager
+def _frozen(params):
+    """Record no gradients for `params` inside the block: phase 3 reaches
+    the generator through D, and D's own gradients there would be discarded."""
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+
+
 def train_step(gen: Generator, disc: Discriminator | None,
                g_opt: RMSprop, d_opt: RMSprop | None,
                noisy: np.ndarray, clean: np.ndarray, z: Tensor,
@@ -138,16 +153,17 @@ def train_step(gen: Generator, disc: Discriminator | None,
 
     g_opt.zero_grad()
     adv_vals, l1_vals = [], []
-    for fake, nt, ct in zip(fakes, noisy_t, clean_t):
-        l1 = eg.l1_loss(fake, ct)
-        if cfg.adversarial:
-            adv = eg.lsq_loss(d_forward(disc, fake, nt), 1.0)
-            total = eg.add(adv, eg.mul(l1, lam))
-            adv_vals.append(adv.item())
-        else:
-            total = eg.mul(l1, lam)
-        backward(total)
-        l1_vals.append(l1.item())
+    with _frozen(disc.parameters() if cfg.adversarial else []):
+        for fake, nt, ct in zip(fakes, noisy_t, clean_t):
+            l1 = eg.l1_loss(fake, ct)
+            if cfg.adversarial:
+                adv = eg.lsq_loss(d_forward(disc, fake, nt), 1.0)
+                total = eg.add(adv, eg.mul(l1, lam))
+                adv_vals.append(adv.item())
+            else:
+                total = eg.mul(l1, lam)
+            backward(total)
+            l1_vals.append(l1.item())
     if adv_vals:
         g_adv = _finite_mean(step, "g_adv", adv_vals)
     g_l1 = _finite_mean(step, "g_l1", l1_vals)
@@ -226,7 +242,7 @@ def enhance_file(checkpoint_path, in_path, out_path,
     """
     if z_mode not in ("seeded", "zero"):
         raise ConfigError(f"z_mode must be 'seeded' or 'zero', got {z_mode!r}")
-    gen, _disc, mcfg = load_checkpoint(checkpoint_path)
+    gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
     w = read_wav(in_path)
     if w.sample_rate == 48000:
         w = resample_48k_to_16k(w)

@@ -72,6 +72,26 @@ def conv1d_transpose_oracle(y, w, b, stride):
     return res
 
 
+def conv1d_weight_grad_oracle(x, g, width, stride):
+    """Nested-loop gradient of sum(g * conv1d(x, w)) with respect to w."""
+    batch, length, cin = x.shape
+    out_len, cout = g.shape[1], g.shape[2]
+    pad_total = max((out_len - 1) * stride + width - length, 0)
+    pad_left = pad_total // 2
+    xp = np.zeros((batch, length + pad_total, cin))
+    xp[:, pad_left:pad_left + length] = x
+    gw = np.zeros((width, cin, cout))
+    for k in range(width):
+        for ci in range(cin):
+            for co in range(cout):
+                acc = 0.0
+                for bi in range(batch):
+                    for o in range(out_len):
+                        acc += xp[bi, o * stride + k, ci] * g[bi, o, co]
+                gw[k, ci, co] = acc
+    return gw
+
+
 def params_digest(params):
     """Order-sensitive content hash of a parameter list."""
     h = hashlib.blake2b()

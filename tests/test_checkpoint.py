@@ -1,6 +1,7 @@
 """Binary tensor-archive format: round-trips and corruption detection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,14 @@ def test_truncation_at_many_cut_points(tmp_path, keep):
         load_tensors(cut)
 
 
+def test_huge_declared_shape_is_truncation_not_allocation(tmp_path):
+    path = tmp_path / "huge.sgn"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"x"
+                     + struct.pack("<B", 2) + struct.pack("<2I", 2**31, 2**31))
+    with pytest.raises(CorruptCheckpointError, match="truncated"):
+        load_tensors(path)
+
+
 def test_duplicate_names_rejected(tmp_path):
     entry = (struct.pack("<H", 1) + b"x" + struct.pack("<B", 1)
              + struct.pack("<I", 1) + np.array([1.0], dtype="<f4").tobytes())
@@ -126,3 +135,43 @@ def test_unicode_names_round_trip(tmp_path):
     path = tmp_path / "uni.sgn"
     save_tensors(path, {"enc/α": np.array([1.0], dtype=np.float32)})
     assert "enc/α" in load_tensors(path)
+
+
+def test_load_peak_memory_is_about_one_payload(tmp_path):
+    # each payload is read straight into its array: no whole-file bytes
+    # object and no second copy
+    rng = np.random.default_rng(3)
+    tensors = {f"t{i}": rng.standard_normal((256, 1024)).astype(np.float32) for i in range(8)}
+    payload = sum(a.nbytes for a in tensors.values())
+    path = tmp_path / "big.sgn"
+    save_tensors(path, tensors)
+    tracemalloc.start()
+    try:
+        loaded = load_tensors(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * payload, (peak, payload)
+    assert all(np.array_equal(loaded[k], v) for k, v in tensors.items())
+
+
+def _skip_b(name):
+    return name.startswith("b")
+
+
+def test_skipped_payloads_keep_shape_and_checks(tmp_path):
+    path = tmp_path / "ab.sgn"
+    a, b = np.arange(6, dtype=np.float32).reshape(2, 3), np.ones((4, 5), np.float32)
+    save_tensors(path, {"a": a, "b": b})
+    loaded = load_tensors(path, skip=_skip_b)
+    assert np.array_equal(loaded["a"], a)
+    assert loaded["b"].shape == (4, 5) and loaded["b"].strides == (0, 0)
+    assert not loaded["b"].flags.writeable and not loaded["b"].any()
+
+    blob = path.read_bytes()
+    (tmp_path / "cut.sgn").write_bytes(blob[:-8])          # inside b's payload
+    with pytest.raises(CorruptCheckpointError, match="truncated"):
+        load_tensors(tmp_path / "cut.sgn", skip=_skip_b)
+    (tmp_path / "trail.sgn").write_bytes(blob + b"\x00")
+    with pytest.raises(CorruptCheckpointError, match="trailing"):
+        load_tensors(tmp_path / "trail.sgn", skip=_skip_b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import conv1d_oracle, conv1d_transpose_oracle
+from helpers import conv1d_oracle, conv1d_transpose_oracle, conv1d_weight_grad_oracle
 
 from segan import engine as eg
 from segan.engine import Parameter, Tensor, backward, no_grad, sample_z, zero_grads
@@ -213,6 +213,61 @@ def test_conv_and_transpose_are_each_others_gradients_bitwise(width, stride):
     assert np.array_equal(ty.grad, eg.conv1d(Tensor(x), Tensor(w), stride=stride).data)
     assert np.array_equal(cw.grad, tw.grad)
     assert cx.grad.dtype == ty.grad.dtype == cw.grad.dtype == np.float32
+
+
+# (length of the long side, width, stride, long channels, short channels):
+# 1 and 2 long channels (the one-tap and stride-tap folds of the scatter),
+# SEGAN's width 31 at stride 2, a width below the stride, and stride 1;
+# every length divides by its stride.
+KERNEL_SHAPES = [(40, 31, 2, 1, 3), (40, 31, 2, 2, 3), (36, 31, 2, 3, 1),
+                 (12, 3, 4, 2, 2), (10, 5, 1, 2, 3), (9, 1, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1, 200])
+@pytest.mark.parametrize("length,width,stride,c_long,c_short", KERNEL_SHAPES)
+def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, length, width,
+                                                     stride, c_long, c_short):
+    # block_bytes 1 puts one output position in each block; 200 splits the
+    # width-31 and stride-1 calls within an example, gives the width-3 call
+    # one whole example per block and leaves the width-1 call in one block
+    if block_bytes is not None:
+        monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(length * width + stride)
+    out_len = -(-length // stride)
+    x = rng.standard_normal((3, length, c_long))
+    w = rng.standard_normal((width, c_long, c_short))
+    g = rng.standard_normal((3, out_len, c_short))
+    if block_bytes == 1:
+        assert len(eg._blocks(3, out_len, width * c_long * 8)) == 3 * out_len
+
+    cx, cw = Parameter("x", x), Parameter("w", w)
+    y = eg.conv1d(cx, cw, stride=stride)
+    backward(eg.mul(y, Tensor(g)).sum())
+    assert np.max(np.abs(y.data - conv1d_oracle(x, w, None, stride))) <= 1e-12
+    assert np.max(np.abs(cw.grad - conv1d_weight_grad_oracle(x, g, width, stride))) <= 1e-12
+    # the input gradient is the transpose of g (every length here divides by the stride)
+    want = conv1d_transpose_oracle(g, w, None, stride)
+    assert np.max(np.abs(cx.grad - want)) <= 1e-12
+    up = eg.conv1d_transpose(Tensor(g), Tensor(w), stride=stride).data
+    assert np.max(np.abs(up - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("length,width,stride,c_long,c_short", KERNEL_SHAPES)
+def test_conv_kernels_repeat_bitwise_in_float32(length, width, stride, c_long, c_short):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, length, c_long)).astype(np.float32)
+    w = rng.standard_normal((width, c_long, c_short)).astype(np.float32)
+    g = rng.standard_normal((3, -(-length // stride), c_short)).astype(np.float32)
+
+    def run():
+        cx, cw = Parameter("x", x), Parameter("w", w)
+        y = eg.conv1d(cx, cw, stride=stride)
+        backward(eg.mul(y, Tensor(g)).sum())
+        up = eg.conv1d_transpose(Tensor(g), Tensor(w), stride=stride).data
+        return [y.data, cx.grad, cw.grad, up]
+    first, second = run(), run()
+    for a, b in zip(first, second):
+        assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
 def test_conv1d_identity_kernel():

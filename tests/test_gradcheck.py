@@ -15,7 +15,8 @@ def test_every_op_passes_at_1e_4():
 
 
 def test_required_ops_are_covered():
-    needed = {"conv1d_stride1", "conv1d_stride2", "conv1d_transpose", "prelu",
+    needed = {"conv1d_stride1", "conv1d_stride2", "conv1d_transpose", "conv1d_one_channel",
+              "conv1d_transpose_one_channel", "prelu",
               "leaky_relu", "virtual_batch_norm", "linear", "tanh", "lsq_loss",
               "l1_loss", "add", "sub", "mul", "div", "sqrt", "absolute",
               "mean", "sum", "mean_axis", "reshape", "concat_channels"}

@@ -394,6 +394,17 @@ def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
         assert np.array_equal(p.grad, np.zeros_like(p.data))
 
 
+def test_load_without_discriminator_builds_generator_only(tmp_path):
+    gen = build_generator(TINY, seed=6)
+    disc = build_discriminator(TINY, seed=7)
+    set_reference_batch(disc, *_ref_batch(np.random.default_rng(2)))
+    path = tmp_path / "gd.sgn"
+    save_checkpoint(path, gen, disc)
+    loaded, no_disc, cfg = load_checkpoint(path, discriminator=False)
+    assert no_disc is None and cfg == TINY
+    assert params_digest(loaded.parameters()) == params_digest(gen.parameters())
+
+
 def test_load_truncated_file(tmp_path):
     path = tmp_path / "g.sgn"
     save_checkpoint(path, build_generator(TINY))

@@ -7,7 +7,9 @@ from segan import engine as eg
 from segan.audio_io import Waveform, read_wav, write_wav
 from segan.dataset import TrainingPair
 from segan.engine import Tensor, backward, sample_z
-from segan.errors import (ConfigError, NonFiniteLossError, WrongRateError)
+from segan.checkpoint import load_tensors, save_tensors
+from segan.errors import (ConfigError, CorruptCheckpointError, NonFiniteLossError,
+                          WrongRateError)
 from segan.model import (GeneratorConfig, build_discriminator,
                          build_generator, g_forward, load_checkpoint,
                          save_checkpoint, set_reference_batch)
@@ -126,6 +128,46 @@ def test_discriminator_is_untouched_by_the_generator_phase():
     assert params_digest(disc.parameters()) == d_opt.post[-1]
     # and the discriminator did actually train in its own phases
     assert any(pre != post for pre, post in zip(d_opt.pre, d_opt.post))
+
+
+def test_generator_phase_leaves_discriminator_gradients_as_phase_two_left_them():
+    gen = build_generator(TINY, seed=3)
+    disc = build_discriminator(TINY, seed=4)
+    rng = np.random.default_rng(0)
+    set_reference_batch(disc, *_batch(rng))
+    d_opt = SpyRMSprop(disc.parameters())
+    noisy, clean = _batch(rng)
+    z = sample_z(4, TINY.bottleneck_len, TINY.z_channels)
+    train_step(gen, disc, RMSprop(gen.parameters()), d_opt, noisy, clean, z,
+               TrainConfig(epochs=1))
+    # d_opt.grads[1]: the gradients phase 2 handed to its update
+    assert len(d_opt.grads) == 2
+    for p, phase2 in zip(disc.parameters(), d_opt.grads[1]):
+        assert np.array_equal(p.grad, phase2), p.name
+        assert p.requires_grad
+
+
+@pytest.mark.parametrize("debug_checks", [False, True])
+def test_generator_phase_restores_discriminator_requires_grad_on_error(monkeypatch, debug_checks):
+    # a NaN regression loss fails phase 3 only: after the loop without debug
+    # checks (NonFiniteLossError), inside it with them (FloatingPointError)
+    gen = build_generator(TINY, seed=3)
+    disc = build_discriminator(TINY, seed=4)
+    rng = np.random.default_rng(0)
+    set_reference_batch(disc, *_batch(rng))
+    l1_loss = eg.l1_loss
+    monkeypatch.setattr(eg, "l1_loss",
+                        lambda a, b: eg.mul(l1_loss(a, b), Tensor(np.float32(np.nan))))
+    noisy, clean = _batch(rng)
+    z = sample_z(4, TINY.bottleneck_len, TINY.z_channels)
+    eg.set_debug_checks(debug_checks)
+    try:
+        with pytest.raises(FloatingPointError if debug_checks else NonFiniteLossError):
+            train_step(gen, disc, RMSprop(gen.parameters()), RMSprop(disc.parameters()),
+                       noisy, clean, z, TrainConfig(epochs=1))
+    finally:
+        eg.set_debug_checks(False)
+    assert all(p.requires_grad for p in disc.parameters())
 
 
 def test_adversarial_step_requires_discriminator():
@@ -385,3 +427,59 @@ def test_enhance_empty_input(tmp_path):
     dst = tmp_path / "out.wav"
     enhance_file(ckpt, src, dst)
     assert len(read_wav(dst)) == 0
+
+
+def _gd_checkpoint(path):
+    gen = build_generator(TINY, seed=8)
+    disc = build_discriminator(TINY, seed=9)
+    set_reference_batch(disc, *_batch(np.random.default_rng(3), window=TINY.window))
+    save_checkpoint(path, gen, disc)
+
+
+def test_enhance_output_ignores_the_discriminator(tmp_path):
+    gd, g = tmp_path / "gd.sgn", tmp_path / "g.sgn"
+    _gd_checkpoint(gd)
+    save_checkpoint(g, load_checkpoint(gd)[0])
+    src = tmp_path / "in.wav"
+    write_wav(Waveform(np.random.default_rng(4).uniform(-0.5, 0.5, 300), 16000), src)
+    enhance_file(gd, src, tmp_path / "a.wav")
+    enhance_file(g, src, tmp_path / "b.wav")
+    assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+# tensor edits that make load_checkpoint refuse a G+D checkpoint (None drops)
+D_EDITS = {
+    "misshapen": {"d.conv2.w": np.zeros((5, 3, 2), np.float32)},
+    "missing_ref": {"d.vbn2.ref_var": None},
+    "missing_n_ref": {"d.n_ref": None},
+    "unexpected": {"d.extra": np.zeros(1, np.float32)},
+}
+
+
+@pytest.mark.parametrize("corrupt", [*D_EDITS, "truncated", "trailing"])
+def test_enhance_rejects_what_load_checkpoint_rejects(tmp_path, corrupt):
+    # enhancement skips the discriminator's payloads, yet every checkpoint
+    # the full load refuses must fail enhancement with the same error
+    path = tmp_path / "gd.sgn"
+    _gd_checkpoint(path)
+    blob = path.read_bytes()
+    if corrupt == "truncated":
+        path.write_bytes(blob[:blob.index(b"d.conv2.w") + 40])   # inside its payload
+    elif corrupt == "trailing":
+        path.write_bytes(blob + b"\x00")
+    else:
+        tensors = load_tensors(path)
+        for name, value in D_EDITS[corrupt].items():
+            if value is None:
+                del tensors[name]
+            else:
+                tensors[name] = value
+        save_tensors(path, tensors)
+    with pytest.raises(CorruptCheckpointError) as full:
+        load_checkpoint(path)
+    src = tmp_path / "in.wav"
+    write_wav(Waveform(np.zeros(100), 16000), src)
+    with pytest.raises(CorruptCheckpointError) as enh:
+        enhance_file(path, src, tmp_path / "out.wav")
+    assert str(enh.value) == str(full.value)
+    assert not (tmp_path / "out.wav").exists()
