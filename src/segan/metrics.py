@@ -8,10 +8,12 @@ aggregation from a ratings table.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import Waveform
 from .errors import (
@@ -19,9 +21,17 @@ from .errors import (
     IncompleteTripletError,
     LengthMismatchError,
     NumericalError,
+    WrongRateError,
 )
 
 SYSTEMS = ("noisy", "wiener", "segan")
+
+
+# Frames are windowed and solved in blocks of at most this many (3.9 MB of
+# 30 ms frames per signal at 16 kHz), so the scratch memory stays bounded
+# whatever the signal length. Every frame's arithmetic is row-local, so
+# results do not depend on the block size.
+_BLOCK_FRAMES = 1024
 
 
 def ssnr(clean: Waveform, test: Waveform, frame: int = 512,
@@ -39,48 +49,65 @@ def ssnr(clean: Waveform, test: Waveform, frame: int = 512,
             f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
     if x.size < frame:
         raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {frame})")
-    vals = []
-    for j in range(x.size // frame):
-        seg = slice(j * frame, (j + 1) * frame)
-        ex = float(np.sum(x[seg] * x[seg]))
-        if ex < 1e-8:
-            continue
-        err = x[seg] - y[seg]
-        ee = max(float(np.sum(err * err)), 1e-12)
-        vals.append(min(max(10.0 * np.log10(ex / ee), clamp_lo), clamp_hi))
-    if not vals:
+    n = x.size // frame * frame
+    xs = x[:n].reshape(-1, frame)
+    ex = np.sum(xs * xs, axis=1)
+    voiced = ex >= 1e-8
+    if not voiced.any():
         raise AllFramesSilentError("every frame fell below the clean-energy gate")
+    err = xs - y[:n].reshape(-1, frame)
+    ee = np.maximum(np.sum(np.square(err, out=err), axis=1)[voiced], 1e-12)
+    vals = np.minimum(np.maximum(10.0 * np.log10(ex[voiced] / ee), clamp_lo), clamp_hi)
     return float(np.mean(vals))
 
 
-def levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, float]:
+def levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, float | np.ndarray]:
     """Solve the Toeplitz normal equations by the Levinson-Durbin
-    recursion. Returns (a, err) with a[0] == 1 and err the final
-    prediction-error power.
+    recursion, run across every leading row of r (shape (..., lags)) at
+    once. Returns (a, err): a of shape (..., order + 1) with a[..., 0] == 1,
+    and err the final prediction-error power of each row, a float for 1-D r.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.size < order + 1:
-        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = float(r[0])
-    if err <= 0.0:
-        raise NumericalError(f"nonpositive zero-lag autocorrelation: {err}")
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    if r.shape[-1] < order + 1:
+        raise ValueError(f"need {order + 1} autocorrelation lags, got {r.shape[-1]}")
+    a = np.zeros(r.shape[:-1] + (order + 1,))
+    a[..., 0] = 1.0
+    err = r[..., 0].copy()
+    if np.any(err <= 0.0):
+        raise NumericalError(f"nonpositive zero-lag autocorrelation: {float(err.min())}")
+    rev = r[..., order::-1, None].copy()  # rev[..., m, 0] == r[..., order - m]
     for i in range(1, order + 1):
-        acc = r[i] + float(np.dot(a[1:i], r[i - 1:0:-1]))
+        acc = r[..., i] + _dot(a[..., None, 1:i], rev[..., order - i + 1:order, :])
         k = -acc / err
-        prev = a.copy()
-        for j in range(1, i):
-            a[j] = prev[j] + k * prev[i - j]
-        a[i] = k
+        a[..., 1:i] += k[..., None] * a[..., i - 1:0:-1]
+        a[..., i] = k
         err *= 1.0 - k * k
-        if err <= 0.0:
+        if np.any(err <= 0.0):
             raise NumericalError(f"prediction error became nonpositive at order {i}")
-    return a, err
+    return a, (float(err) if r.ndim == 1 else err)
 
 
-def _autocorr(x: np.ndarray, order: int) -> np.ndarray:
-    return np.array([float(np.dot(x[:x.size - k], x[k:])) for k in range(order + 1)])
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., 1, n) u and (..., n, 1) v. A stacked
+    matmul makes one BLAS dot call per row, the same call np.dot makes on
+    one pair of vectors, so each row's sum does not depend on the others."""
+    return np.matmul(u, v)[..., 0, 0]
+
+
+def _lag_products(f: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise sum_i f[..., i] * f[..., i + k] for k = 0..order."""
+    n = f.shape[-1]
+    return np.stack([_dot(f[..., None, :n - k], f[..., k:, None])
+                     for k in range(order + 1)], axis=-1)
+
+
+def _min_rate(order: int, frame_s: float, hop_s: float) -> int:
+    """Smallest integer rate whose frame holds order + 1 samples and whose
+    hop holds one, under the same rounding llr applies."""
+    rate = max(1, math.floor(max((order + 0.5) / frame_s, 0.5 / hop_s)) - 1)
+    while round(frame_s * rate) < order + 1 or round(hop_s * rate) < 1:
+        rate += 1
+    return rate
 
 
 def llr(clean: Waveform, test: Waveform, order: int = 16,
@@ -100,31 +127,39 @@ def llr(clean: Waveform, test: Waveform, order: int = 16,
     rate = clean.sample_rate
     flen = round(frame_s * rate)
     fhop = round(hop_s * rate)
+    if flen < order + 1 or fhop < 1:
+        raise WrongRateError(
+            f"LLR at {rate} Hz has {flen}-sample frames and a {fhop}-sample hop; "
+            f"an order-{order} fit needs at least {_min_rate(order, frame_s, hop_s)} Hz")
     if x.size < flen:
         raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {flen})")
     win = np.hanning(flen)
+    x_frames = sliding_window_view(x, flen)[::fhop]
+    y_frames = sliding_window_view(y, flen)[::fhop]
+    # a^T R a for symmetric Toeplitz R: r_0 * c_0 + 2 * sum_k r_k * c_k, where
+    # c_k are a's own lag products.
+    twice = np.full(order + 1, 2.0)
+    twice[0] = 1.0
     vals = []
-    lags = np.arange(order + 1)
-    toeplitz_idx = np.abs(lags[:, None] - lags[None, :])
-    for start in range(0, x.size - flen + 1, fhop):
-        xf = x[start:start + flen] * win
-        yf = y[start:start + flen] * win
-        rc = _autocorr(xf, order)
-        rt = _autocorr(yf, order)
-        if rc[0] < 1e-10 or rt[0] < 1e-10:
+    for b in range(0, x_frames.shape[0], _BLOCK_FRAMES):
+        rc = _lag_products(x_frames[b:b + _BLOCK_FRAMES] * win, order)
+        rt = _lag_products(y_frames[b:b + _BLOCK_FRAMES] * win, order)
+        voiced = (rc[:, 0] >= 1e-10) & (rt[:, 0] >= 1e-10)
+        rc, rt = rc[voiced], rt[voiced]
+        if not voiced.any():
             continue
         a_clean, _ = levinson(rc, order)
         a_test, _ = levinson(rt, order)
-        R = rc[toeplitz_idx]
-        num = float(a_test @ R @ a_test)
-        den = float(a_clean @ R @ a_clean)
-        if num <= 0.0 or den <= 0.0:
+        weighted = rc * twice
+        num = np.sum(weighted * _lag_products(a_test, order), axis=-1)
+        den = np.sum(weighted * _lag_products(a_clean, order), axis=-1)
+        if np.any((num <= 0.0) | (den <= 0.0)):
             raise NumericalError("nonpositive residual energy in LLR frame")
         vals.append(np.log(num / den))
     if not vals:
         raise AllFramesSilentError("no frames above the energy gate")
-    vals.sort()
-    keep = max(1, round(0.95 * len(vals)))
+    vals = np.sort(np.concatenate(vals))
+    keep = max(1, round(0.95 * vals.size))
     return float(np.mean(vals[:keep]))
 
 

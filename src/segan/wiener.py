@@ -7,9 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio_io import Waveform
 from .errors import ShapeMismatchError, TooShortError, WrongRateError
+
+# Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
+# frames, as fast as larger blocks), so the scratch memory stays bounded
+# whatever the signal length. A batched (i)rfft gives each row the same bits
+# as a one-row call.
+_BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,10 @@ def stft(w: Waveform, frame: int = 512, hop: int = 256,
     n_frames = 1 + -(-(x.size - frame) // hop)
     padded = np.zeros((n_frames - 1) * hop + frame)
     padded[:x.size] = x
-    rows = np.stack([np.fft.rfft(padded[t * hop:t * hop + frame] * win)
-                     for t in range(n_frames)])
+    frames = sliding_window_view(padded, frame)[::hop]
+    rows = np.empty((n_frames, frame // 2 + 1), dtype=np.complex128)
+    for b in range(0, n_frames, _BLOCK_FRAMES):
+        np.fft.rfft(frames[b:b + _BLOCK_FRAMES] * win, axis=-1, out=rows[b:b + _BLOCK_FRAMES])
     return Spectrogram(rows, frame, hop, window)
 
 
@@ -60,10 +69,21 @@ def istft(s: Spectrogram, sample_rate: int = 16000) -> Waveform:
     length = (n_frames - 1) * s.hop + s.frame_len
     num = np.zeros(length)
     den = np.zeros(length)
-    for t in range(n_frames):
-        seg = slice(t * s.hop, t * s.hop + s.frame_len)
-        num[seg] += win * np.fft.irfft(s.frames[t], n=s.frame_len)
-        den[seg] += win * win
+    # Frames q apart never overlap, so each residue class mod q is one
+    # strided add. With q <= 2 a sample sums at most two terms, so the
+    # result matches a frame-by-frame overlap-add bit for bit.
+    q = -(-s.frame_len // s.hop)
+    for b in range(0, n_frames, _BLOCK_FRAMES):
+        rows = np.fft.irfft(s.frames[b:b + _BLOCK_FRAMES], n=s.frame_len, axis=-1)
+        rows *= win
+        for m in range(min(q, rows.shape[0])):
+            group = rows[m::q]
+            at = (b + m) * s.hop
+            strides = (q * s.hop * num.itemsize, num.itemsize)
+            num_view = as_strided(num[at:], group.shape, strides)
+            den_view = as_strided(den[at:], group.shape, strides)
+            num_view += group
+            den_view += win * win
     out = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
     return Waveform(out, sample_rate)
 

@@ -103,3 +103,76 @@ def params_digest(params):
 def tone(freq_hz, n, rate=16000, amp=0.5, phase=0.0):
     t = np.arange(n) / rate
     return amp * np.sin(2 * np.pi * freq_hz * t + phase)
+
+
+def levinson_oracle(r, order):
+    """Scalar Levinson-Durbin recursion on one row of lags: (a, err)."""
+    r = np.asarray(r, dtype=np.float64)
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = float(r[0])
+    for i in range(1, order + 1):
+        acc = r[i] + float(np.dot(a[1:i], r[i - 1:0:-1]))
+        k = -acc / err
+        prev = a.copy()
+        for j in range(1, i):
+            a[j] = prev[j] + k * prev[i - j]
+        a[i] = k
+        err *= 1.0 - k * k
+    return a, err
+
+
+def llr_oracle(x, y, rate, order=16, frame_s=0.030, hop_s=0.0075):
+    """Frame-by-frame LPC log-likelihood ratio, trimmed to the lowest 95%."""
+    flen, fhop = round(frame_s * rate), round(hop_s * rate)
+    win = np.hanning(flen)
+    idx = np.abs(np.arange(order + 1)[:, None] - np.arange(order + 1)[None, :])
+    vals = []
+    for start in range(0, x.size - flen + 1, fhop):
+        xf, yf = x[start:start + flen] * win, y[start:start + flen] * win
+        rc = np.array([np.dot(xf[:flen - k], xf[k:]) for k in range(order + 1)])
+        rt = np.array([np.dot(yf[:flen - k], yf[k:]) for k in range(order + 1)])
+        if rc[0] < 1e-10 or rt[0] < 1e-10:
+            continue
+        a_clean, _ = levinson_oracle(rc, order)
+        a_test, _ = levinson_oracle(rt, order)
+        R = rc[idx]
+        vals.append(np.log(float(a_test @ R @ a_test) / float(a_clean @ R @ a_clean)))
+    vals.sort()
+    return float(np.mean(vals[:max(1, round(0.95 * len(vals)))]))
+
+
+def ssnr_oracle(x, y, frame=512, lo=-10.0, hi=35.0):
+    """Frame-by-frame segmental SNR with the energy gate and clamp."""
+    vals = []
+    for j in range(x.size // frame):
+        seg = slice(j * frame, (j + 1) * frame)
+        ex = float(np.sum(x[seg] * x[seg]))
+        if ex < 1e-8:
+            continue
+        err = x[seg] - y[seg]
+        ee = max(float(np.sum(err * err)), 1e-12)
+        vals.append(min(max(10.0 * np.log10(ex / ee), lo), hi))
+    return float(np.mean(vals))
+
+
+def stft_oracle(x, frame, hop):
+    """One rfft per Hamming-windowed frame over a zero-padded tail."""
+    n_frames = 1 + -(-(x.size - frame) // hop)
+    padded = np.zeros((n_frames - 1) * hop + frame)
+    padded[:x.size] = x
+    win = np.hamming(frame)
+    return np.stack([np.fft.rfft(padded[t * hop:t * hop + frame] * win)
+                     for t in range(n_frames)])
+
+
+def istft_oracle(frames, frame, hop):
+    """Frame-by-frame weighted overlap-add of one irfft per frame."""
+    win = np.hamming(frame)
+    length = (frames.shape[0] - 1) * hop + frame
+    num, den = np.zeros(length), np.zeros(length)
+    for t in range(frames.shape[0]):
+        seg = slice(t * hop, t * hop + frame)
+        num[seg] += win * np.fft.irfft(frames[t], n=frame)
+        den[seg] += win * win
+    return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)

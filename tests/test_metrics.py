@@ -3,17 +3,31 @@
 import numpy as np
 import pytest
 
+from segan import metrics
 from segan.audio_io import Waveform
+from segan.dataset import mix_at_snr, synth_clean, synth_noise
 from segan.errors import (AllFramesSilentError, IncompleteTripletError,
-                          LengthMismatchError, NumericalError)
+                          LengthMismatchError, NumericalError, WrongRateError)
 from segan.metrics import (Rating, aggregate_mos, levinson, llr,
                            load_ratings, ssnr, write_report)
 
-from helpers import tone
+from helpers import levinson_oracle, llr_oracle, ssnr_oracle, tone
 
 
 def _wave(x, rate=16000):
     return Waveform(np.asarray(x, dtype=np.float64), rate)
+
+
+def _ar(coefs, e):
+    """x[n] = e[n] + sum_k coefs[k] * x[n - 1 - k]."""
+    x = np.zeros(e.size)
+    for n in range(e.size):
+        x[n] = e[n] + sum(c * x[n - 1 - k] for k, c in enumerate(coefs) if n > k)
+    return x
+
+
+def _pcm16(x):
+    return np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +80,16 @@ def test_ssnr_monotone_in_noise_scale():
     assert vals[0] > vals[1] > vals[2]
 
 
+def test_ssnr_matches_frame_loop_bitwise():
+    rng = np.random.default_rng(11)
+    for n in (1300, 4097, 16000):
+        x = rng.uniform(-0.5, 0.5, n)
+        x[:700] = 0.0  # a silent leading frame exercises the gate
+        for scale in (0.0, 1e-7, 0.05, 3.0):
+            y = x + scale * rng.standard_normal(n)
+            assert ssnr(_wave(x), _wave(y)) == ssnr_oracle(x, y)
+
+
 def test_ssnr_validation():
     x = _wave(np.ones(1024))
     with pytest.raises(LengthMismatchError, match="length"):
@@ -109,8 +133,33 @@ def test_levinson_matches_direct_toeplitz_solve():
 def test_levinson_validation():
     with pytest.raises(ValueError, match="lags"):
         levinson(np.array([1.0]), 1)
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValueError, match="need 3 autocorrelation lags, got 2"):
+        levinson(np.ones((4, 2)), 2)
+    with pytest.raises(NumericalError, match="zero-lag autocorrelation: 0.0"):
         levinson(np.array([0.0, 0.0]), 1)
+    with pytest.raises(NumericalError, match="zero-lag"):
+        levinson(np.array([[1.0, 0.5], [-1.0, 0.0]]), 1)
+    # a perfectly predictable row loses positivity at the first order
+    with pytest.raises(NumericalError, match="nonpositive at order 1"):
+        levinson(np.array([1.0, 1.0]), 1)
+    with pytest.raises(NumericalError, match="nonpositive at order 1"):
+        levinson(np.array([[1.0, 0.5], [1.0, 1.0]]), 1)
+
+
+def test_levinson_rows_match_one_row_calls_bitwise():
+    rng = np.random.default_rng(12)
+    frames = rng.standard_normal((37, 480)) * np.hanning(480)
+    frames[5:9] = np.convolve(rng.standard_normal(600), np.ones(5), "same")[:480]  # low-pass rows
+    r = np.stack([[np.dot(f[:480 - k], f[k:]) for k in range(17)] for f in frames])
+    a, err = levinson(r, 16)
+    assert a.shape == (37, 17) and err.shape == (37,)
+    for i in range(r.shape[0]):
+        a_i, err_i = levinson(r[i], 16)
+        assert isinstance(err_i, float)
+        assert np.array_equal(a[i], a_i) and err[i] == err_i
+    ref, ref_err = levinson_oracle(r[0], 16)
+    assert np.allclose(a[0], ref, rtol=0, atol=1e-12)
+    assert abs(err[0] - ref_err) <= 1e-12 * ref_err
 
 
 def test_llr_identical_is_zero():
@@ -140,6 +189,85 @@ def test_llr_invariant_to_test_gain():
     base = llr(_wave(clean), _wave(test))
     scaled = llr(_wave(clean), _wave(4.0 * test))
     assert abs(base - scaled) < 1e-10
+
+
+def _well_conditioned_pairs():
+    rng = np.random.default_rng(13)
+    for n in (2401, 5003, 9999):
+        white = rng.standard_normal(n)
+        yield white, white + 0.5 * rng.standard_normal(n)
+        clean = _ar([1.2, -0.6, 0.2], rng.standard_normal(n))
+        noise = _ar([0.5, -0.3, 0.1, 0.05], rng.standard_normal(n))
+        yield clean, clean + 0.3 * noise
+        quiet = clean.copy()
+        quiet[:1500] = 0.0  # leading silence: the energy gate drops frames
+        yield quiet, quiet + 0.3 * noise * (np.arange(n) >= 1000)
+        dropout = clean + 0.3 * noise
+        dropout[1800:2400] = 0.0  # a silent test frame under a voiced clean one
+        yield clean, dropout
+
+
+def test_llr_matches_frame_loop_on_well_conditioned_inputs():
+    for x, y in _well_conditioned_pairs():
+        want = llr_oracle(x, y, 16000)
+        assert abs(llr(_wave(x), _wave(y)) - want) <= 1e-9 * abs(want)
+
+
+def test_llr_matches_frame_loop_on_16bit_speech_like_pairs():
+    for seed, kind, snr in ((0, "white", 5.0), (1, "modulated_burst", 0.0), (2, "pink", 10.0)):
+        clean = synth_clean(seed=seed, duration_s=1.3)
+        noisy = mix_at_snr(clean, synth_noise(kind, seed=seed, duration_s=1.3), snr)
+        x, y = _pcm16(clean.samples), _pcm16(noisy.samples)
+        want = llr_oracle(x, y, 16000)
+        assert abs(llr(_wave(x), _wave(y)) - want) <= 1e-6 * abs(want)
+
+
+def test_llr_runs_on_an_enveloped_tone():
+    # Near-singular frames: whether the Levinson error stays positive hinges
+    # on the rounding of the lag sums, which must be the per-frame dot's.
+    t = np.arange(80000) / 16000
+    x = 0.4 * np.sin(2 * np.pi * 150 * t) * (0.2 + np.sin(2 * np.pi * 2 * t) ** 2)
+    y = x + 0.05 * np.random.default_rng(0).standard_normal(x.size)
+    assert np.isfinite(llr(_wave(x), _wave(y)))
+
+
+def test_llr_independent_of_block_size(monkeypatch):
+    x, y = list(_well_conditioned_pairs())[-2]
+    want = llr(_wave(x), _wave(y))
+    calls = []
+
+    def counted(r, order):
+        calls.append(r.shape[0])
+        return levinson(r, order)
+
+    monkeypatch.setattr(metrics, "levinson", counted)
+    n_frames = (x.size - 480) // 120 + 1
+    for block in (1, 3, 10 ** 9):
+        monkeypatch.setattr(metrics, "_BLOCK_FRAMES", block)
+        calls.clear()
+        assert llr(_wave(x), _wave(y)) == want
+        # two batched solves per block holding a voiced frame; the first 9
+        # frames lie inside the leading 1500-sample silence
+        assert len(calls) == 2 * (-(-n_frames // block) - 9 // block)
+    assert calls == [n_frames - 9] * 2
+
+
+def test_llr_rejects_rates_below_its_frame_minimum():
+    for rate in (400, 50, 550):
+        w = _wave(np.ones(4 * rate), rate=rate)
+        with pytest.raises(WrongRateError, match=rf"at {rate} Hz .* at least 551 Hz"):
+            llr(w, w)
+    # the named minimum itself is accepted
+    w = _wave(np.random.default_rng(14).standard_normal(551), rate=551)
+    assert llr(w, w) < 1e-10
+
+
+def test_llr_residual_energy_check(monkeypatch):
+    monkeypatch.setattr(metrics, "levinson",
+                        lambda r, order: (np.zeros(r.shape[:-1] + (order + 1,)), None))
+    w = _wave(np.random.default_rng(15).standard_normal(2400))
+    with pytest.raises(NumericalError, match="residual energy"):
+        llr(w, w)
 
 
 def test_llr_validation():

@@ -7,10 +7,11 @@ from segan.audio_io import Waveform
 from segan.dataset import mix_at_snr, synth_clean, synth_noise
 from segan.errors import ShapeMismatchError, TooShortError, WrongRateError
 from segan.metrics import ssnr
+from segan import wiener
 from segan.wiener import (Spectrogram, enhance_wiener, istft, stft,
                           wiener_gains)
 
-from helpers import tone
+from helpers import istft_oracle, stft_oracle, tone
 
 
 def _wave(x, rate=16000):
@@ -55,6 +56,23 @@ def test_istft_round_trip_exact():
         back = istft(stft(_wave(x), 512, 256)).samples
         assert back.size >= n
         assert np.max(np.abs(back[:n] - x)) < 1e-6
+
+
+@pytest.mark.parametrize("block", [1, 3, wiener._BLOCK_FRAMES])
+def test_stft_istft_match_frame_loops(monkeypatch, block):
+    monkeypatch.setattr(wiener, "_BLOCK_FRAMES", block)
+    rng = np.random.default_rng(3)
+    for n in (512, 513, 7001):
+        x = rng.standard_normal(n)
+        for frame, hop in ((512, 256), (512, 512), (512, 600), (512, 128), (400, 160)):
+            spec = stft(_wave(x), frame, hop)
+            assert np.array_equal(spec.frames, stft_oracle(x, frame, hop))
+            back = istft(spec).samples
+            want = istft_oracle(spec.frames, frame, hop)
+            if -(-frame // hop) <= 2:
+                assert np.array_equal(back, want)
+            else:
+                assert np.max(np.abs(back - want)) <= 1e-12
 
 
 def test_istft_single_frame_round_trip():
