@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidWindowError,
-    OverlapUnsupportedError,
-    UnsupportedFormatError,
-    WrongRateError,
-)
+from .errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
 
 @dataclass(frozen=True)
@@ -133,17 +128,14 @@ def chunk(w: Waveform, window: int, hop: int) -> tuple[np.ndarray, int]:
     return out, max(pad_len, 0)
 
 
-def reassemble(chunks: np.ndarray, hop: int, pad_len: int,
-               sample_rate: int = 16000) -> Waveform:
-    """Concatenate non-overlapping windows and trim the padding added by
-    chunk(). Only hop == window is supported (test-time convention).
+def reassemble(chunks: np.ndarray, pad_len: int, sample_rate: int = 16000) -> Waveform:
+    """Concatenate non-overlapping windows (chunk() with hop == window, the
+    test-time convention) and trim the padding chunk() added.
     """
     chunks = np.asarray(chunks)
     if chunks.ndim != 2:
         raise InvalidWindowError(f"expected (n, window) chunks, got shape {chunks.shape}")
     window = chunks.shape[1]
-    if hop != window:
-        raise OverlapUnsupportedError(f"reassembly needs hop == window, got hop={hop} window={window}")
     if not 0 <= pad_len <= window * max(chunks.shape[0], 1):
         raise InvalidWindowError(f"pad_len {pad_len} inconsistent with {chunks.shape[0]} windows of {window}")
     flat = chunks.reshape(-1)

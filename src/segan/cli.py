@@ -20,6 +20,7 @@ import numpy as np
 from .audio_io import read_wav, write_wav
 from .dataset import (
     ManifestEntry,
+    NoiseKind,
     build_pairs,
     iter_utterances,
     load_manifest,
@@ -241,12 +242,24 @@ def _print_resolved(sub: str, values: dict) -> list[str]:
 
 
 def cmd_synth_data(v: dict) -> int:
-    out = Path(v["out"])
-    out.mkdir(parents=True, exist_ok=True)
     n = v["n_utterances"]
     if n < 1:
         raise ConfigError("n_utterances must be >= 1")
     kinds, snrs = v["kinds"], v["snrs"]
+    if v["rate"] < 1:
+        raise ConfigError(f"synth-data.rate must be positive, got {v['rate']}")
+    for name in ("kinds", "snrs"):
+        if not v[name]:
+            raise ConfigError(f"synth-data.{name} must name at least one value")
+    try:
+        for kind in kinds:
+            NoiseKind(kind)
+    except ValueError as exc:
+        raise ConfigError(f"synth-data.kinds: {exc}") from exc
+    if not 0.0 <= v["test_fraction"] <= 1.0:
+        raise ConfigError(f"synth-data.test_fraction must lie in [0, 1], got {v['test_fraction']}")
+    out = Path(v["out"])
+    out.mkdir(parents=True, exist_ok=True)
     n_test = round(n * v["test_fraction"]) if n > 1 else 0
     entries = []
     for i in range(n):

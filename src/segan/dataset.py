@@ -28,16 +28,6 @@ class NoiseKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class NoiseCondition:
-    noise_kind: NoiseKind
-    snr_db: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-
-
-@dataclass(frozen=True)
 class TrainingPair:
     noisy: np.ndarray
     clean: np.ndarray
@@ -210,16 +200,15 @@ def iter_utterances(entries: Iterable[ManifestEntry], split: str,
 
 
 def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
-                window: int = 16384, hop: int = 8192,
-                preemph_coef: float = 0.95) -> Iterator[TrainingPair]:
+                window: int = 16384, hop: int = 8192) -> Iterator[TrainingPair]:
     """Mix, preemphasize both signals, then window clean and noisy with
     identical offsets. Pair count equals the summed per-utterance chunk
     count.
     """
     for clean, noise, snr_db in utterances:
         noisy = mix_at_snr(clean, noise, snr_db)
-        clean_pre = preemphasis(clean, preemph_coef)
-        noisy_pre = preemphasis(noisy, preemph_coef)
+        clean_pre = preemphasis(clean)
+        noisy_pre = preemphasis(noisy)
         c_chunks, _ = chunk(clean_pre, window, hop)
         n_chunks, _ = chunk(noisy_pre, window, hop)
         for c_row, n_row in zip(c_chunks, n_chunks):

@@ -81,31 +81,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars are wrapped as constants of matching dtype
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
-
     def sum(self) -> "Tensor":
         return _reduce(self, np.sum, scale=1.0)
 
@@ -132,9 +107,6 @@ class Tensor:
             out._backward = back
         return out
 
-    def backward(self) -> None:
-        backward(self)
-
     def _tracked(self) -> bool:
         return self.requires_grad and self._parents != ()
 
@@ -151,12 +123,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
@@ -581,11 +547,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 def sample_z(batch: int, length: int = 8, channels: int = 1024,

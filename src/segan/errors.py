@@ -21,10 +21,6 @@ class InvalidWindowError(SeganError):
     """Bad window/hop combination for chunking."""
 
 
-class OverlapUnsupportedError(SeganError):
-    """Reassembly is only defined for non-overlapping chunks."""
-
-
 class ZeroPowerError(SeganError):
     """Signal has no energy, so an SNR-controlled mix is undefined."""
 

@@ -20,6 +20,8 @@ def grad_check(build_loss, params: list[Parameter], eps: float = 1e-5) -> float:
     Relative error is |fd - an| / max(|fd|, |an|); coordinates where both
     magnitudes fall below 1e-7 count as exact agreement.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     for p in params:
         p.zero_grad()
     backward(build_loss())

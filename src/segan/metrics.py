@@ -8,7 +8,6 @@ aggregation from a ratings table.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,13 +32,22 @@ SYSTEMS = ("noisy", "wiener", "segan")
 # results do not depend on the block size.
 _BLOCK_FRAMES = 1024
 
+SSNR_FRAME = 512
+SSNR_CLAMP_DB = (-10.0, 35.0)
 
-def ssnr(clean: Waveform, test: Waveform, frame: int = 512,
-         clamp_lo: float = -10.0, clamp_hi: float = 35.0) -> float:
-    """Mean over non-overlapping frames of clamped
-    10*log10(clean energy / error energy). Frames whose clean energy is
-    below 1e-8 are skipped; the error denominator is floored at 1e-12 so
-    identical signals score the upper clamp.
+LPC_ORDER = 16
+LLR_FRAME_S = 0.030
+LLR_HOP_S = 0.0075
+# the smallest integer rate at which round(LLR_FRAME_S * rate) >= LPC_ORDER + 1
+# and round(LLR_HOP_S * rate) >= 1, under Python's round-half-even
+LLR_MIN_RATE = 551
+
+
+def ssnr(clean: Waveform, test: Waveform) -> float:
+    """Mean over non-overlapping SSNR_FRAME-sample frames of
+    10*log10(clean energy / error energy), clamped to SSNR_CLAMP_DB. Frames
+    whose clean energy is below 1e-8 are skipped; the error denominator is
+    floored at 1e-12 so identical signals score the upper clamp.
     """
     x, y = clean.samples, test.samples
     if x.size != y.size:
@@ -47,17 +55,18 @@ def ssnr(clean: Waveform, test: Waveform, frame: int = 512,
     if clean.sample_rate != test.sample_rate:
         raise LengthMismatchError(
             f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
-    if x.size < frame:
-        raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {frame})")
-    n = x.size // frame * frame
-    xs = x[:n].reshape(-1, frame)
+    if x.size < SSNR_FRAME:
+        raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {SSNR_FRAME})")
+    n = x.size // SSNR_FRAME * SSNR_FRAME
+    xs = x[:n].reshape(-1, SSNR_FRAME)
     ex = np.sum(xs * xs, axis=1)
     voiced = ex >= 1e-8
     if not voiced.any():
         raise AllFramesSilentError("every frame fell below the clean-energy gate")
-    err = xs - y[:n].reshape(-1, frame)
+    err = xs - y[:n].reshape(-1, SSNR_FRAME)
     ee = np.maximum(np.sum(np.square(err, out=err), axis=1)[voiced], 1e-12)
-    vals = np.minimum(np.maximum(10.0 * np.log10(ex[voiced] / ee), clamp_lo), clamp_hi)
+    lo, hi = SSNR_CLAMP_DB
+    vals = np.minimum(np.maximum(10.0 * np.log10(ex[voiced] / ee), lo), hi)
     return float(np.mean(vals))
 
 
@@ -101,17 +110,7 @@ def _lag_products(f: np.ndarray, order: int) -> np.ndarray:
                      for k in range(order + 1)], axis=-1)
 
 
-def _min_rate(order: int, frame_s: float, hop_s: float) -> int:
-    """Smallest integer rate whose frame holds order + 1 samples and whose
-    hop holds one, under the same rounding llr applies."""
-    rate = max(1, math.floor(max((order + 0.5) / frame_s, 0.5 / hop_s)) - 1)
-    while round(frame_s * rate) < order + 1 or round(hop_s * rate) < 1:
-        rate += 1
-    return rate
-
-
-def llr(clean: Waveform, test: Waveform, order: int = 16,
-        frame_s: float = 0.030, hop_s: float = 0.0075) -> float:
+def llr(clean: Waveform, test: Waveform) -> float:
     """Log-likelihood-ratio spectral distance: per Hanning-windowed frame,
     log of the ratio of the test LPC polynomial's residual energy to the
     clean one's, both measured against the clean autocorrelation; the mean
@@ -124,13 +123,14 @@ def llr(clean: Waveform, test: Waveform, order: int = 16,
     if clean.sample_rate != test.sample_rate:
         raise LengthMismatchError(
             f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
+    order = LPC_ORDER
     rate = clean.sample_rate
-    flen = round(frame_s * rate)
-    fhop = round(hop_s * rate)
+    flen = round(LLR_FRAME_S * rate)
+    fhop = round(LLR_HOP_S * rate)
     if flen < order + 1 or fhop < 1:
         raise WrongRateError(
             f"LLR at {rate} Hz has {flen}-sample frames and a {fhop}-sample hop; "
-            f"an order-{order} fit needs at least {_min_rate(order, frame_s, hop_s)} Hz")
+            f"an order-{order} fit needs at least {LLR_MIN_RATE} Hz")
     if x.size < flen:
         raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {flen})")
     win = np.hanning(flen)

@@ -194,34 +194,34 @@ def g_forward(gen: Generator, noisy, z: Tensor) -> Tensor:
     return h
 
 
-def set_reference_batch(disc: Discriminator, candidate: np.ndarray, noisy: np.ndarray) -> None:
+def _d_trunk(disc: Discriminator, candidate, noisy, norm) -> Tensor:
+    """The discriminator's conv stack over (candidate, noisy) channel pairs:
+    each layer is conv, then norm(layer index, h), then LeakyReLU."""
+    cfg = disc.cfg
+    h = eg.concat_channels(_as_bwc(candidate, cfg.window), _as_bwc(noisy, cfg.window))
+    for i in range(cfg.depth):
+        h = eg.conv1d(h, disc.conv_w[i], disc.conv_b[i], stride=cfg.stride)
+        h = eg.leaky_relu(norm(i, h), LEAKY_ALPHA)
+    return h
+
+
+def set_reference_batch(disc: Discriminator, candidate, noisy) -> None:
     """Compute and freeze per-layer normalization stats from a fixed
     reference batch of real (candidate, noisy) pairs. The reference pass
     normalizes each layer with the batch's own statistics.
     """
-    cand = np.asarray(candidate, dtype=np.float32)
-    noise = np.asarray(noisy, dtype=np.float32)
-    if cand.ndim == 2:
-        cand = cand[..., None]
-    if noise.ndim == 2:
-        noise = noise[..., None]
-    h = np.concatenate([cand, noise], axis=2)
-    if h.ndim != 3 or h.shape[1] != disc.cfg.window or h.shape[2] != 2:
-        raise ShapeMismatchError(f"reference batch must be (B, {disc.cfg.window}, 2), got {h.shape}")
     means, variances = [], []
+
+    def batch_norm(i, h):
+        mu, var = h.data.mean(axis=(0, 1)), h.data.var(axis=(0, 1))
+        means.append(mu)
+        variances.append(var)
+        return Tensor(disc.gamma[i].data * (h.data - mu) / np.sqrt(var + VBN_EPS)
+                      + disc.beta[i].data)
+
     with no_grad():
-        t = Tensor(h)
-        for w, b, gamma, beta in zip(disc.conv_w, disc.conv_b, disc.gamma, disc.beta):
-            pre = eg.conv1d(t, w, b, stride=disc.cfg.stride).data
-            mu = pre.mean(axis=(0, 1))
-            var = pre.var(axis=(0, 1))
-            means.append(mu.astype(np.float32))
-            variances.append(var.astype(np.float32))
-            normed = gamma.data * (pre - mu) / np.sqrt(var + VBN_EPS) + beta.data
-            t = Tensor(np.where(normed > 0, normed, LEAKY_ALPHA * normed))
-    disc.ref_mean = means
-    disc.ref_var = variances
-    disc.n_ref = h.shape[0]
+        n_ref = _d_trunk(disc, candidate, noisy, batch_norm).data.shape[0]
+    disc.ref_mean, disc.ref_var, disc.n_ref = means, variances, n_ref
 
 
 def d_forward(disc: Discriminator, candidate, noisy) -> Tensor:
@@ -231,17 +231,14 @@ def d_forward(disc: Discriminator, candidate, noisy) -> Tensor:
     """
     if disc.ref_mean is None:
         raise MissingRefBatchError("discriminator needs set_reference_batch before scoring")
-    cfg = disc.cfg
-    a = _as_bwc(candidate, cfg.window)
-    b = _as_bwc(noisy, cfg.window)
-    h = eg.concat_channels(a, b)
-    for i in range(cfg.depth):
-        h = eg.conv1d(h, disc.conv_w[i], disc.conv_b[i], stride=cfg.stride)
-        h = eg.virtual_batch_norm(h, disc.ref_mean[i], disc.ref_var[i], disc.n_ref,
-                                  disc.gamma[i], disc.beta[i], eps=VBN_EPS)
-        h = eg.leaky_relu(h, LEAKY_ALPHA)
+
+    def vbn(i, h):
+        return eg.virtual_batch_norm(h, disc.ref_mean[i], disc.ref_var[i], disc.n_ref,
+                                     disc.gamma[i], disc.beta[i], eps=VBN_EPS)
+
+    h = _d_trunk(disc, candidate, noisy, vbn)
     h = eg.conv1d(h, disc.head_w, disc.head_b, stride=1)
-    h = h.reshape(h.data.shape[0], cfg.bottleneck_len)
+    h = h.reshape(h.data.shape[0], disc.cfg.bottleneck_len)
     return eg.linear(h, disc.out_w, disc.out_b)
 
 

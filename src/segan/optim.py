@@ -13,16 +13,16 @@ import numpy as np
 
 from .engine import Parameter
 
+RHO = 0.9
+EPS = 1e-6
+
 
 class RMSprop:
-    def __init__(self, params: list[Parameter], lr: float = 0.0002,
-                 rho: float = 0.9, eps: float = 1e-6):
+    def __init__(self, params: list[Parameter], lr: float = 0.0002):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
-        self.rho = float(rho)
-        self.eps = float(eps)
         self.cache = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -30,9 +30,9 @@ class RMSprop:
             g = p.grad
             if g is None:
                 continue
-            c *= self.rho
-            c += (1.0 - self.rho) * g * g
-            p.data -= (self.lr * g / (np.sqrt(c) + self.eps)).astype(p.data.dtype, copy=False)
+            c *= RHO
+            c += (1.0 - RHO) * g * g
+            p.data -= (self.lr * g / (np.sqrt(c) + EPS)).astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -260,5 +260,5 @@ def enhance_file(checkpoint_path, in_path, out_path,
         z = sample_z(n, mcfg.bottleneck_len, mcfg.z_channels, seed=z_seed)
     with no_grad():
         out = g_forward(gen, windows.astype(np.float32)[..., None], z)
-    flat = reassemble(out.data[:, :, 0].astype(np.float64), mcfg.window, pad, 16000)
+    flat = reassemble(out.data[:, :, 0].astype(np.float64), pad, 16000)
     write_wav(deemphasis(flat), out_path)

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio_io import Waveform
-from .errors import ShapeMismatchError, TooShortError, WrongRateError
+from .errors import InvalidWindowError, ShapeMismatchError, TooShortError, WrongRateError
 
 # Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
 # frames, as fast as larger blocks), so the scratch memory stays bounded
@@ -24,7 +24,6 @@ class Spectrogram:
     frames: np.ndarray      # complex, (n_frames, n_bins)
     frame_len: int
     hop: int
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frames.ndim != 2:
@@ -34,21 +33,16 @@ class Spectrogram:
                 f"{self.frames.shape[1]} bins inconsistent with frame {self.frame_len}")
 
 
-def _analysis_window(name: str, n: int) -> np.ndarray:
-    if name != "hamming":
-        raise ValueError(f"unsupported analysis window {name!r}")
-    return np.hamming(n)
-
-
-def stft(w: Waveform, frame: int = 512, hop: int = 256,
-         window: str = "hamming") -> Spectrogram:
-    """Windowed real FFT with a zero-padded tail so the frames cover the
+def stft(w: Waveform, frame: int = 512, hop: int = 256) -> Spectrogram:
+    """Hamming-windowed real FFT with a zero-padded tail so the frames cover the
     whole signal.
     """
+    if not 0 < hop <= frame:
+        raise InvalidWindowError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
     x = w.samples
     if x.size < frame:
         raise TooShortError(f"signal of {x.size} samples shorter than one frame ({frame})")
-    win = _analysis_window(window, frame)
+    win = np.hamming(frame)
     n_frames = 1 + -(-(x.size - frame) // hop)
     padded = np.zeros((n_frames - 1) * hop + frame)
     padded[:x.size] = x
@@ -56,7 +50,7 @@ def stft(w: Waveform, frame: int = 512, hop: int = 256,
     rows = np.empty((n_frames, frame // 2 + 1), dtype=np.complex128)
     for b in range(0, n_frames, _BLOCK_FRAMES):
         np.fft.rfft(frames[b:b + _BLOCK_FRAMES] * win, axis=-1, out=rows[b:b + _BLOCK_FRAMES])
-    return Spectrogram(rows, frame, hop, window)
+    return Spectrogram(rows, frame, hop)
 
 
 def istft(s: Spectrogram, sample_rate: int = 16000) -> Waveform:
@@ -64,7 +58,7 @@ def istft(s: Spectrogram, sample_rate: int = 16000) -> Waveform:
     by the summed squared window, which reconstructs exactly wherever the
     denominator is nonzero. Output length is (n_frames-1)*hop + frame_len.
     """
-    win = _analysis_window(s.window, s.frame_len)
+    win = np.hamming(s.frame_len)
     n_frames = s.frames.shape[0]
     length = (n_frames - 1) * s.hop + s.frame_len
     num = np.zeros(length)
@@ -96,6 +90,12 @@ def wiener_gains(power: np.ndarray, alpha: float = 0.98, noise_frames: int = 6,
     against a noise spectrum averaged over the leading frames. Gains lie in
     [10^(gain_floor_db/20), 1].
     """
+    if noise_frames < 1:
+        raise ValueError(f"noise_frames must be >= 1, got {noise_frames}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not gain_floor_db <= 0.0:
+        raise ValueError(f"gain_floor_db must be <= 0, got {gain_floor_db}")
     n_frames = power.shape[0]
     if n_frames <= noise_frames:
         raise TooShortError(
@@ -124,6 +124,6 @@ def enhance_wiener(noisy: Waveform, alpha: float = 0.98, noise_frames: int = 6,
     spec = stft(noisy, frame, hop)
     power = np.abs(spec.frames) ** 2
     gains = wiener_gains(power, alpha, noise_frames, gain_floor_db)
-    cleaned = Spectrogram(gains * spec.frames, frame, hop, spec.window)
+    cleaned = Spectrogram(gains * spec.frames, frame, hop)
     out = istft(cleaned, noisy.sample_rate)
     return Waveform(out.samples[:len(noisy)], noisy.sample_rate)

@@ -176,3 +176,31 @@ def istft_oracle(frames, frame, hop):
         num[seg] += win * np.fft.irfft(frames[t], n=frame)
         den[seg] += win * win
     return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
+
+
+def reference_stats_oracle(disc, candidate, noisy):
+    """The discriminator's reference pass as a raw-numpy loop around the
+    package's conv1d: each layer's batch mean and variance over (batch,
+    length), the layer normalized with them (eps 1e-5), then LeakyReLU 0.3.
+    Returns (means, variances, batch size).
+    """
+    from segan import engine as eg
+    cand = np.asarray(candidate, dtype=np.float32)
+    noise = np.asarray(noisy, dtype=np.float32)
+    if cand.ndim == 2:
+        cand = cand[..., None]
+    if noise.ndim == 2:
+        noise = noise[..., None]
+    h = np.concatenate([cand, noise], axis=2)
+    means, variances = [], []
+    with eg.no_grad():
+        t = eg.Tensor(h)
+        for w, b, gamma, beta in zip(disc.conv_w, disc.conv_b, disc.gamma, disc.beta):
+            pre = eg.conv1d(t, w, b, stride=disc.cfg.stride).data
+            mu = pre.mean(axis=(0, 1))
+            var = pre.var(axis=(0, 1))
+            means.append(mu.astype(np.float32))
+            variances.append(var.astype(np.float32))
+            normed = gamma.data * (pre - mu) / np.sqrt(var + 1e-5) + beta.data
+            t = eg.Tensor(np.where(normed > 0, normed, 0.3 * normed))
+    return means, variances, h.shape[0]

@@ -169,7 +169,7 @@ def test_criterion_04_signal_pipeline():
         assert np.max(np.abs(back.samples - x.samples)) < 1e-9
 
         chunks, pad = chunk(x, 1024, 1024)
-        rebuilt = reassemble(chunks, 1024, pad)
+        rebuilt = reassemble(chunks, pad)
         assert np.array_equal(rebuilt.samples, x.samples)
 
         grid = rng.integers(-32767, 32768, 4096) / 32768.0
@@ -216,7 +216,7 @@ def test_criterion_06_loss_semantics():
         for _ in range(60):
             loss = eg.add(eg.lsq_loss(d, 1.0), eg.lsq_loss(d, 0.0))
             d.zero_grad()
-            loss.backward()
+            eg.backward(loss)
             d.data -= 0.2 * d.grad
         final = float(eg.add(eg.lsq_loss(d, 1.0), eg.lsq_loss(d, 0.0)).data)
         assert abs(final - 0.25) < 1e-6

@@ -6,8 +6,7 @@ import pytest
 from segan.audio_io import (Waveform, chunk, deemphasis, preemphasis,
                             read_wav, reassemble, resample_48k_to_16k,
                             write_wav)
-from segan.errors import (InvalidWindowError, OverlapUnsupportedError,
-                          UnsupportedFormatError, WrongRateError)
+from segan.errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
 from helpers import read_raw_pcm, tone, write_raw_wav
 
@@ -230,9 +229,9 @@ def test_chunk_validation():
 
 
 def test_reassemble_fixtures():
-    out = reassemble(np.array([[1.0, 2.0], [3.0, 4.0]]), 2, 0)
+    out = reassemble(np.array([[1.0, 2.0], [3.0, 4.0]]), 0)
     assert np.array_equal(out.samples, [1, 2, 3, 4])
-    out = reassemble(np.array([[1.0, 2.0], [3.0, 0.0]]), 2, 1)
+    out = reassemble(np.array([[1.0, 2.0], [3.0, 0.0]]), 1)
     assert np.array_equal(out.samples, [1, 2, 3])
 
 
@@ -240,19 +239,14 @@ def test_chunk_reassemble_identity_50000():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 50000)
     chunks, pad = chunk(Waveform(x, 16000), 16384, 16384)
-    back = reassemble(chunks, 16384, pad)
+    back = reassemble(chunks, pad)
     assert np.array_equal(back.samples, x)
-
-
-def test_reassemble_rejects_overlap():
-    with pytest.raises(OverlapUnsupportedError):
-        reassemble(np.zeros((2, 4)), 2, 0)
 
 
 def test_reassemble_validation():
     with pytest.raises(InvalidWindowError):
-        reassemble(np.zeros(8), 4, 0)
+        reassemble(np.zeros(8), 0)
     with pytest.raises(InvalidWindowError):
-        reassemble(np.zeros((2, 4)), 4, -1)
+        reassemble(np.zeros((2, 4)), -1)
     with pytest.raises(InvalidWindowError):
-        reassemble(np.zeros((2, 4)), 4, 9)
+        reassemble(np.zeros((2, 4)), 9)

@@ -1,12 +1,19 @@
 """Command-line interface: flags, config files, exit codes, pipeline."""
 
+import dataclasses
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from segan.audio_io import Waveform, read_wav, write_wav
-from segan.cli import FULL_SCALE_LEDGER, main, parse_config_file
+from segan.cli import FULL_SCALE_LEDGER, SUBCOMMANDS, main, parse_config_file
 from segan.dataset import load_manifest, synth_clean
+from segan.gradcheck import check_all_ops
 from segan.model import GeneratorConfig, build_generator, save_checkpoint
+from segan.trainer import TrainConfig, enhance_file
+from segan.wiener import enhance_wiener
 
 
 def _out_lines(capsys):
@@ -75,6 +82,50 @@ def test_shapes_prints_resolved_config(capsys):
     out = capsys.readouterr().out
     assert "config shapes.z_channels=512" in out
     assert "bottleneck+z" in out
+
+
+# the library code each subcommand's flags feed
+_FLAG_SOURCES = {
+    "synth-data": [synth_clean],
+    "train": [GeneratorConfig, TrainConfig],
+    "enhance": [enhance_file],
+    "enhance-wiener": [enhance_wiener],
+    "eval": [],
+    "gradcheck": [check_all_ops],
+    "shapes": [GeneratorConfig],
+    "mos": [],
+}
+# optional flags with no library counterpart
+_CLI_ONLY = {("synth-data", "n_utterances"), ("synth-data", "kinds"), ("synth-data", "snrs"),
+             ("synth-data", "test_fraction"), ("train", "hop"), ("eval", "metric"),
+             ("eval", "report"), ("gradcheck", "tol")}
+
+
+def _library_defaults(source) -> dict:
+    if dataclasses.is_dataclass(source):
+        return {f.name: f.default for f in dataclasses.fields(source)}
+    return {name: p.default for name, p in inspect.signature(source).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_flag_defaults_match_library_defaults():
+    assert set(_FLAG_SOURCES) == set(SUBCOMMANDS)
+    checked, drift = 0, []
+    for sub, flags in SUBCOMMANDS.items():
+        library = {}
+        for source in _FLAG_SOURCES[sub]:
+            library.update(_library_defaults(source))
+        for f in flags:
+            if f.required:
+                continue
+            if f.name not in library:
+                assert (sub, f.name) in _CLI_ONLY, f"{sub}.{f.name} feeds no library default"
+                continue
+            checked += 1
+            if f.default != library[f.name]:
+                drift.append(f"{sub}.{f.name}: flag {f.default!r}, library {library[f.name]!r}")
+    assert drift == []
+    assert checked == 30
 
 
 def test_full_scale_reference_ledger_contents():
@@ -293,3 +344,41 @@ def test_enhance_wiener_too_short_is_runtime_error(tmp_path, capsys):
     write_wav(Waveform(np.zeros(1024), 16000), src)
     assert main(["enhance-wiener", "--in", str(src),
                  "--out", str(tmp_path / "o.wav")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# out-of-range values: a one-line message naming the flag, nothing written
+
+_INPUTS = {
+    "enhance-wiener": lambda tmp: ["--in", str(tmp / "noisy.wav"), "--out", str(tmp / "o.wav")],
+    "gradcheck": lambda tmp: [],
+    "synth-data": lambda tmp: ["--out", str(tmp / "corpus"), "--n-utterances", "2",
+                               "--duration-s", "0.1"],
+}
+
+
+@pytest.mark.parametrize("sub, flag, value", [
+    ("enhance-wiener", "hop", "600"),
+    ("enhance-wiener", "hop", "0"),
+    ("enhance-wiener", "noise_frames", "0"),
+    ("enhance-wiener", "noise_frames", "-1"),
+    ("enhance-wiener", "alpha", "1.5"),
+    ("enhance-wiener", "alpha", "-0.1"),
+    ("enhance-wiener", "gain_floor_db", "3"),
+    ("gradcheck", "eps", "0"),
+    ("synth-data", "kinds", ""),
+    ("synth-data", "snrs", ""),
+    ("synth-data", "kinds", "bogus"),
+    ("synth-data", "test_fraction", "1.5"),
+    ("synth-data", "test_fraction", "-0.5"),
+    ("synth-data", "rate", "0"),
+])
+def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
+    write_wav(synth_clean("voice", seed=5, duration_s=1.0), tmp_path / "noisy.wav")
+    code = main([sub, *_INPUTS[sub](tmp_path), f"--{flag.replace('_', '-')}", value])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert len(err.strip().splitlines()) == 1
+    assert re.search(rf"\b{flag}\b", err), err
+    assert not (tmp_path / "o.wav").exists()
+    assert not (tmp_path / "corpus").exists()

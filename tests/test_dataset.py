@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segan.audio_io import Waveform, chunk, preemphasis, read_wav, write_wav
-from segan.dataset import (ManifestEntry, NoiseCondition, NoiseKind,
+from segan.dataset import (ManifestEntry, NoiseKind,
                            SYNTH_PREFIX, TrainingPair, _rng_for, build_pairs,
                            iter_utterances, load_manifest, mix_at_snr,
                            synth_clean, synth_noise, write_manifest)
@@ -302,7 +302,3 @@ def test_build_pairs_deterministic(tmp_path):
 def test_pair_and_condition_validation():
     with pytest.raises(ValueError, match="length mismatch"):
         TrainingPair(noisy=np.zeros(4), clean=np.zeros(5))
-    with pytest.raises(ValueError, match="finite"):
-        NoiseCondition(NoiseKind.WHITE, float("inf"))
-    cond = NoiseCondition(NoiseKind.PINK, 5.0)
-    assert cond.noise_kind is NoiseKind.PINK

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import conv1d_oracle, conv1d_transpose_oracle, conv1d_weight_grad_oracle
 
 from segan import engine as eg
-from segan.engine import Parameter, Tensor, backward, no_grad, sample_z, zero_grads
+from segan.engine import Parameter, Tensor, backward, no_grad, sample_z
 from segan.errors import NonScalarLossError, ShapeMismatchError
 
 
@@ -26,15 +26,6 @@ def test_add_sub_mul_div_values():
     assert np.array_equal(eg.sub(a, b).data, [-2.0, -2.0])
     assert np.array_equal(eg.mul(a, b).data, [8.0, 15.0])
     assert np.array_equal(eg.div(b, a).data, [2.0, 5.0 / 3.0])
-
-
-def test_operator_sugar_matches_functions():
-    a = Tensor([1.0, 2.0])
-    assert np.array_equal((a + 1.0).data, [2.0, 3.0])
-    assert np.array_equal((2.0 * a).data, [2.0, 4.0])
-    assert np.array_equal((a - 1.0).data, [0.0, 1.0])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
-    assert np.array_equal((a / 2.0).data, [0.5, 1.0])
 
 
 def test_tanh_fixtures():
@@ -438,7 +429,8 @@ def test_backward_twice_identical_gradients():
     w = _p("w", rng.standard_normal((4, 2)))
 
     def run():
-        zero_grads([x, w])
+        x.zero_grad()
+        w.zero_grad()
         backward(eg.tanh(eg.linear(x, w)).mean())
         return x.grad.copy(), w.grad.copy()
 
@@ -467,14 +459,6 @@ def test_detach_cuts_gradient_flow():
     x = _p("x", [3.0])
     backward(eg.mul(x.detach(), x).sum())
     assert np.array_equal(x.grad, [3.0])   # only the live branch contributes
-
-
-def test_zero_grads_resets_buffers():
-    x = _p("x", [1.0, 2.0])
-    backward(x.sum())
-    assert np.array_equal(x.grad, [1.0, 1.0])
-    zero_grads([x])
-    assert np.array_equal(x.grad, [0.0, 0.0])
 
 
 def test_float32_preserved_through_ops():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import params_digest
+from helpers import params_digest, reference_stats_oracle
 
 from segan import engine as eg, model
 from segan.checkpoint import load_tensors, save_tensors
@@ -282,10 +282,33 @@ def test_reference_stats_shape_and_effect():
     assert not np.array_equal(s1, s2)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("channel_axis", [False, True], ids=["BW", "BW1"])
+@pytest.mark.parametrize("cfg", [TINY, REDUCED], ids=["tiny", "reduced"])
+def test_reference_stats_match_raw_numpy_oracle(cfg, channel_axis, seed):
+    rng = np.random.default_rng(seed)
+    disc = build_discriminator(cfg, seed=seed)
+    for p in disc.gamma + disc.beta:
+        p.data[...] = rng.uniform(-1.5, 1.5, p.data.shape)
+    shape = (4, cfg.window, 1) if channel_axis else (4, cfg.window)
+    cand, noisy = (rng.uniform(-0.5, 0.5, shape).astype(np.float32) for _ in range(2))
+    set_reference_batch(disc, cand, noisy)
+    means, variances, n_ref = reference_stats_oracle(disc, cand, noisy)
+    assert disc.n_ref == n_ref
+    for got, want in zip(disc.ref_mean + disc.ref_var, means + variances, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    probe = [rng.uniform(-0.5, 0.5, (3, cfg.window)).astype(np.float32) for _ in range(2)]
+    score = d_forward(disc, *probe).data
+    disc.ref_mean, disc.ref_var, disc.n_ref = means, variances, n_ref
+    assert np.array_equal(score, d_forward(disc, *probe).data)
+
+
 def test_reference_batch_validation():
     disc = build_discriminator(TINY, seed=4)
     with pytest.raises(ShapeMismatchError):
         set_reference_batch(disc, np.zeros((2, 63)), np.zeros((2, 63)))
+    with pytest.raises(ShapeMismatchError):
+        set_reference_batch(disc, np.zeros((2, 64)), np.zeros((3, 64)))
 
 
 # ---------------------------------------------------------------------------

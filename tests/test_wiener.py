@@ -5,7 +5,7 @@ import pytest
 
 from segan.audio_io import Waveform
 from segan.dataset import mix_at_snr, synth_clean, synth_noise
-from segan.errors import ShapeMismatchError, TooShortError, WrongRateError
+from segan.errors import InvalidWindowError, ShapeMismatchError, TooShortError, WrongRateError
 from segan.metrics import ssnr
 from segan import wiener
 from segan.wiener import (Spectrogram, enhance_wiener, istft, stft,
@@ -64,7 +64,7 @@ def test_stft_istft_match_frame_loops(monkeypatch, block):
     rng = np.random.default_rng(3)
     for n in (512, 513, 7001):
         x = rng.standard_normal(n)
-        for frame, hop in ((512, 256), (512, 512), (512, 600), (512, 128), (400, 160)):
+        for frame, hop in ((512, 256), (512, 512), (512, 128), (400, 160)):
             spec = stft(_wave(x), frame, hop)
             assert np.array_equal(spec.frames, stft_oracle(x, frame, hop))
             back = istft(spec).samples
@@ -90,12 +90,13 @@ def test_istft_zero_spectrogram_is_silence():
 def test_stft_validation():
     with pytest.raises(TooShortError):
         stft(_wave(np.zeros(100)), frame=512, hop=256)
+    for hop in (0, -1, 513):
+        with pytest.raises(InvalidWindowError, match="hop"):
+            stft(_wave(np.zeros(1024)), frame=512, hop=hop)
     with pytest.raises(ShapeMismatchError):
         Spectrogram(np.zeros((4, 256), dtype=complex), 512, 256)
     with pytest.raises(ShapeMismatchError):
         Spectrogram(np.zeros(257, dtype=complex), 512, 256)
-    with pytest.raises(ValueError, match="window"):
-        stft(_wave(np.zeros(512)), window="hann")
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,9 @@ def test_gains_deterministic():
 def test_gains_need_more_than_noise_frames():
     with pytest.raises(TooShortError):
         wiener_gains(np.ones((6, 9)))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="noise_frames"):
+            wiener_gains(np.ones((20, 9)), noise_frames=n)
 
 
 # ---------------------------------------------------------------------------
