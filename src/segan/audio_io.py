@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
+SAMPLE_RATE = 16000     # the rate every model, baseline and metric runs at
+RATE_48K = 48000        # the one other input rate, decimated by 3 on the way in
+PREEMPH = 0.95          # first-order preemphasis coefficient
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -82,28 +86,28 @@ def resample_48k_to_16k(w: Waveform) -> Waveform:
     then take every third sample at the filter's group delay. Output length
     is ceil(len / 3).
     """
-    if w.sample_rate != 48000:
-        raise WrongRateError(f"resampler expects 48000 Hz input, got {w.sample_rate}")
-    taps = _design_lowpass(127, 0.45 * 16000, 48000)
+    if w.sample_rate != RATE_48K:
+        raise WrongRateError(f"resampler expects {RATE_48K} Hz input, got {w.sample_rate}")
+    taps = _design_lowpass(127, 0.45 * SAMPLE_RATE, RATE_48K)
     delay = (len(taps) - 1) // 2
     full = np.convolve(w.samples, taps, mode="full")
     out = full[delay:delay + len(w):3]
-    return Waveform(out, 16000)
+    return Waveform(out, SAMPLE_RATE)
 
 
-def preemphasis(w: Waveform, coef: float = 0.95) -> Waveform:
-    """First-order high-pass: y[0] = x[0], y[n] = x[n] - coef * x[n-1]."""
+def preemphasis(w: Waveform) -> Waveform:
+    """First-order high-pass: y[0] = x[0], y[n] = x[n] - PREEMPH * x[n-1]."""
     x = w.samples
     y = x.copy()
-    y[1:] -= coef * x[:-1]
+    y[1:] -= PREEMPH * x[:-1]
     return Waveform(y, w.sample_rate)
 
 
-def deemphasis(w: Waveform, coef: float = 0.95) -> Waveform:
-    """Exact inverse of preemphasis: y[n] = x[n] + coef * y[n-1]."""
+def deemphasis(w: Waveform) -> Waveform:
+    """Exact inverse of preemphasis: y[n] = x[n] + PREEMPH * y[n-1]."""
     x = w.samples
     y = np.empty_like(x)
-    acc = 0.0
+    coef, acc = PREEMPH, 0.0    # a local: the loop runs once per sample
     for n in range(x.size):
         acc = x[n] + coef * acc
         y[n] = acc
@@ -128,7 +132,7 @@ def chunk(w: Waveform, window: int, hop: int) -> tuple[np.ndarray, int]:
     return out, max(pad_len, 0)
 
 
-def reassemble(chunks: np.ndarray, pad_len: int, sample_rate: int = 16000) -> Waveform:
+def reassemble(chunks: np.ndarray, pad_len: int) -> Waveform:
     """Concatenate non-overlapping windows (chunk() with hop == window, the
     test-time convention) and trim the padding chunk() added.
     """
@@ -141,4 +145,4 @@ def reassemble(chunks: np.ndarray, pad_len: int, sample_rate: int = 16000) -> Wa
     flat = chunks.reshape(-1)
     if pad_len:
         flat = flat[:-pad_len]
-    return Waveform(flat.copy(), sample_rate)
+    return Waveform(flat.copy(), SAMPLE_RATE)

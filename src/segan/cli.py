@@ -11,8 +11,9 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ from .dataset import (
 from .errors import ConfigError, SeganError
 from .gradcheck import check_all_ops
 from .metrics import aggregate_mos, llr, load_ratings, ssnr, write_report
-from .model import DEFAULT_ENC_CHANNELS, GeneratorConfig, shape_ledger
-from .trainer import TrainConfig, enhance_file, train
+from .model import GeneratorConfig, shape_ledger
+from .trainer import Z_MODES, TrainConfig, enhance_file, train
 from .wiener import enhance_wiener
 
 
@@ -67,16 +68,12 @@ def _float(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from exc
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_int(p) for p in text.split(",") if p.strip())
+def _list_of(convert):
+    """A converter for comma-separated values; blank items are skipped."""
+    return lambda text: tuple(convert(p) for p in text.split(",") if p.strip())
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(_float(p) for p in text.split(",") if p.strip())
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+_int_list, _float_list, _str_list = _list_of(_int), _list_of(_float), _list_of(str.strip)
 
 
 @dataclass(frozen=True)
@@ -89,70 +86,87 @@ class Flag:
     choices: tuple = ()
 
 
-_ENC_DEFAULT = ",".join(str(c) for c in DEFAULT_ENC_CHANNELS)
+def _library_defaults(source) -> dict:
+    """Field defaults of a dataclass, or parameter defaults of a function."""
+    if is_dataclass(source):
+        return {f.name: f.default for f in fields(source)}
+    return {name: p.default for name, p in inspect.signature(source).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def _flags(sources, flags: list[Flag]) -> list[Flag]:
+    """A flag named after a field or parameter of the library code in
+    `sources` takes its default from there; the others carry their own."""
+    library = {k: d for source in sources for k, d in _library_defaults(source).items()}
+    return [replace(f, default=library[f.name]) if f.name in library else f for f in flags]
+
+
+def _library_args(source, values: dict) -> dict:
+    """The resolved flags that feed the fields or defaulted parameters of `source`."""
+    return {name: values[name] for name in _library_defaults(source)}
+
 
 _MODEL_FLAGS = [
-    Flag("window", _int, 16384, "analysis window in samples"),
-    Flag("filter_width", _int, 31, "conv filter width (odd)"),
-    Flag("stride", _int, 2, "conv stride"),
-    Flag("enc_channels", _int_list, _int_list(_ENC_DEFAULT), "comma list of encoder channels"),
-    Flag("z_channels", _int, 1024, "latent channels at the bottleneck"),
+    Flag("window", _int, help="analysis window in samples"),
+    Flag("filter_width", _int, help="conv filter width (odd)"),
+    Flag("stride", _int, help="conv stride"),
+    Flag("enc_channels", _int_list, help="comma list of encoder channels"),
+    Flag("z_channels", _int, help="latent channels at the bottleneck"),
 ]
 
 SUBCOMMANDS: dict[str, list[Flag]] = {
-    "synth-data": [
+    "synth-data": _flags([synth_clean], [
         Flag("out", str, required=True, help="output corpus directory"),
         Flag("n_utterances", _int, 12, "number of clean utterances"),
-        Flag("duration_s", _float, 1.0, "seconds per utterance"),
-        Flag("seed", _int, 0, "corpus seed"),
-        Flag("rate", _int, 16000, "sample rate"),
-        Flag("kinds", _str_list, _str_list("white,pink,tonal_hum,modulated_burst"),
-             "noise kinds to cycle through"),
+        Flag("duration_s", _float, help="seconds per utterance"),
+        Flag("seed", _int, help="corpus seed"),
+        Flag("rate", _int, help="sample rate"),
+        Flag("kinds", _str_list, tuple(k.value for k in NoiseKind), "noise kinds to cycle through"),
         Flag("snrs", _float_list, (0.0, 5.0, 10.0, 15.0), "SNR grid in dB"),
         Flag("test_fraction", _float, 0.25, "fraction of utterances held out"),
-    ],
-    "train": [
+    ]),
+    "train": _flags([GeneratorConfig, TrainConfig], [
         Flag("data", str, required=True, help="manifest path"),
         Flag("out", str, required=True, help="run output directory"),
         *_MODEL_FLAGS,
         Flag("hop", _int, 0, "pair-extraction hop (0 = window/2)"),
-        Flag("epochs", _int, 86, "training epochs"),
-        Flag("lr", _float, 0.0002, "RMSprop learning rate"),
-        Flag("batch_size", _int, 16, "examples per step"),
-        Flag("lambda_l1", _float, 100.0, "weight of the L1 term"),
-        Flag("seed", _int, 0, "training seed"),
-        Flag("checkpoint_every", _int, 1000, "steps between checkpoints (0 = only final)"),
-        Flag("adversarial", _bool, True, "false = plain L1 regression"),
-        Flag("accum_steps", _int, 1, "micro-batches summed per step"),
-    ],
-    "enhance": [
+        Flag("epochs", _int, help="training epochs"),
+        Flag("lr", _float, help="RMSprop learning rate"),
+        Flag("batch_size", _int, help="examples per step"),
+        Flag("lambda_l1", _float, help="weight of the L1 term"),
+        Flag("seed", _int, help="training seed"),
+        Flag("checkpoint_every", _int, help="steps between checkpoints (0 = only final)"),
+        Flag("adversarial", _bool, help="false = plain L1 regression"),
+        Flag("accum_steps", _int, help="micro-batches summed per step"),
+    ]),
+    "enhance": _flags([enhance_file], [
         Flag("checkpoint", str, required=True, help="trained model file"),
         Flag("in", str, required=True, help="input WAV (16 or 48 kHz)"),
         Flag("out", str, required=True, help="output WAV path"),
-        Flag("z_mode", str, "seeded", "latent mode", choices=("seeded", "zero")),
-        Flag("z_seed", _int, 0, "latent seed for z_mode=seeded"),
-    ],
-    "enhance-wiener": [
+        Flag("z_mode", str, help="latent mode", choices=Z_MODES),
+        Flag("z_seed", _int, help="latent seed for z_mode=seeded"),
+    ]),
+    "enhance-wiener": _flags([enhance_wiener], [
         Flag("in", str, required=True, help="input WAV (16 kHz)"),
         Flag("out", str, required=True, help="output WAV path"),
-        Flag("alpha", _float, 0.98, "decision-directed smoothing"),
-        Flag("noise_frames", _int, 6, "leading noise-only frames"),
-        Flag("gain_floor_db", _float, -25.0, "minimum gain in dB"),
-        Flag("frame", _int, 512, "STFT frame length"),
-        Flag("hop", _int, 256, "STFT hop"),
-    ],
+        Flag("alpha", _float, help="decision-directed smoothing"),
+        Flag("noise_frames", _int, help="leading noise-only frames"),
+        Flag("gain_floor_db", _float, help="minimum gain in dB"),
+        Flag("frame", _int, help="STFT frame length"),
+        Flag("hop", _int, help="STFT hop"),
+    ]),
     "eval": [
         Flag("clean", _str_list, required=True, help="comma list of clean WAVs"),
         Flag("test", _str_list, required=True, help="comma list of test WAVs"),
         Flag("metric", str, "ssnr", "which metric", choices=("ssnr", "llr", "all")),
         Flag("report", str, "", "optional CSV report path"),
     ],
-    "gradcheck": [
-        Flag("eps", _float, 1e-5, "finite-difference step"),
+    "gradcheck": _flags([check_all_ops], [
+        Flag("eps", _float, help="finite-difference step"),
         Flag("tol", _float, 1e-4, "max relative error allowed"),
-        Flag("seed", _int, 0, "case seed"),
-    ],
-    "shapes": [*_MODEL_FLAGS],
+        Flag("seed", _int, help="case seed"),
+    ]),
+    "shapes": _flags([GeneratorConfig], _MODEL_FLAGS),
     "mos": [
         Flag("ratings", str, required=True, help="ratings CSV path"),
     ],
@@ -230,11 +244,9 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _print_resolved(sub: str, values: dict) -> list[str]:
-    lines = [f"config {sub}.{k}={_fmt_value(v)}" for k, v in values.items()]
-    for line in lines:
-        print(line)
-    return lines
+def _resolved_lines(values: dict) -> list[str]:
+    """The resolved configuration as key=value lines, for stdout and run_config.txt."""
+    return [f"{k}={_fmt_value(v)}" for k, v in values.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +263,8 @@ def cmd_synth_data(v: dict) -> int:
     for name in ("kinds", "snrs"):
         if not v[name]:
             raise ConfigError(f"synth-data.{name} must name at least one value")
+    if not np.all(np.isfinite(snrs)):
+        raise ConfigError(f"synth-data.snrs must be finite, got {_fmt_value(snrs)}")
     try:
         for kind in kinds:
             NoiseKind(kind)
@@ -263,7 +277,7 @@ def cmd_synth_data(v: dict) -> int:
     n_test = round(n * v["test_fraction"]) if n > 1 else 0
     entries = []
     for i in range(n):
-        wf = synth_clean("voice", seed=v["seed"] * 7919 + i,
+        wf = synth_clean(seed=v["seed"] * 7919 + i,
                          duration_s=v["duration_s"], rate=v["rate"])
         name = f"clean_{i:03d}.wav"
         write_wav(wf, out / name)
@@ -277,20 +291,14 @@ def cmd_synth_data(v: dict) -> int:
 
 
 def cmd_train(v: dict) -> int:
-    mcfg = GeneratorConfig(window=v["window"], filter_width=v["filter_width"],
-                           stride=v["stride"], enc_channels=v["enc_channels"],
-                           z_channels=v["z_channels"])
-    tcfg = TrainConfig(epochs=v["epochs"], lr=v["lr"], batch_size=v["batch_size"],
-                       lambda_l1=v["lambda_l1"], seed=v["seed"],
-                       checkpoint_every=v["checkpoint_every"],
-                       adversarial=v["adversarial"], accum_steps=v["accum_steps"])
+    mcfg = GeneratorConfig(**_library_args(GeneratorConfig, v))
+    tcfg = TrainConfig(**_library_args(TrainConfig, v))
     hop = v["hop"] or mcfg.window // 2
     entries = load_manifest(v["data"])
     pairs = list(build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),
                              window=mcfg.window, hop=hop))
     result = train(mcfg, tcfg, pairs, v["out"])
-    resolved_lines = [f"{k}={_fmt_value(val)}" for k, val in v.items()]
-    (Path(v["out"]) / "run_config.txt").write_text("\n".join(resolved_lines) + "\n")
+    (Path(v["out"]) / "run_config.txt").write_text("\n".join(_resolved_lines(v)) + "\n")
     last = result.reports[-1]
     print(f"trained {len(result.reports)} steps over {len(pairs)} pairs")
     print(f"final losses: d_real={last.d_real:.6f} d_fake={last.d_fake:.6f} "
@@ -301,17 +309,13 @@ def cmd_train(v: dict) -> int:
 
 
 def cmd_enhance(v: dict) -> int:
-    enhance_file(v["checkpoint"], v["in"], v["out"],
-                 z_mode=v["z_mode"], z_seed=v["z_seed"])
+    enhance_file(v["checkpoint"], v["in"], v["out"], **_library_args(enhance_file, v))
     print(f"enhanced {v['in']} -> {v['out']}")
     return 0
 
 
 def cmd_enhance_wiener(v: dict) -> int:
-    noisy = read_wav(v["in"])
-    out = enhance_wiener(noisy, alpha=v["alpha"], noise_frames=v["noise_frames"],
-                         gain_floor_db=v["gain_floor_db"], frame=v["frame"],
-                         hop=v["hop"])
+    out = enhance_wiener(read_wav(v["in"]), **_library_args(enhance_wiener, v))
     write_wav(out, v["out"])
     print(f"enhanced {v['in']} -> {v['out']}")
     return 0
@@ -343,7 +347,7 @@ def cmd_eval(v: dict) -> int:
 
 
 def cmd_gradcheck(v: dict) -> int:
-    results = check_all_ops(seed=v["seed"], eps=v["eps"])
+    results = check_all_ops(**_library_args(check_all_ops, v))
     failed = []
     for name, err in results.items():
         status = "ok" if err < v["tol"] else "FAIL"
@@ -358,10 +362,7 @@ def cmd_gradcheck(v: dict) -> int:
 
 
 def cmd_shapes(v: dict) -> int:
-    cfg = GeneratorConfig(window=v["window"], filter_width=v["filter_width"],
-                          stride=v["stride"], enc_channels=v["enc_channels"],
-                          z_channels=v["z_channels"])
-    ledger = shape_ledger(cfg)
+    ledger = shape_ledger(GeneratorConfig(**_library_args(GeneratorConfig, v)))
     for label, length, ch in ledger:
         print(f"{label:<14}{length}x{ch}")
     head = ledger[:len(FULL_SCALE_LEDGER)]
@@ -423,7 +424,8 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         values = resolve_flags(ns.subcommand, ns)
-        _print_resolved(ns.subcommand, values)
+        for line in _resolved_lines(values):
+            print(f"config {ns.subcommand}.{line}")
         return _HANDLERS[ns.subcommand](values)
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import Waveform, chunk, preemphasis, read_wav
+from .audio_io import SAMPLE_RATE, Waveform, chunk, preemphasis, read_wav
 from .errors import ManifestError, ZeroPowerError
 
 
@@ -66,14 +66,14 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     return Waveform(clean.samples + g * n, clean.sample_rate)
 
 
-def synth_clean(kind: str = "voice", seed: int = 0, duration_s: float = 1.0,
-                rate: int = 16000) -> Waveform:
+def synth_clean(seed: int = 0, duration_s: float = 1.0,
+                rate: int = SAMPLE_RATE) -> Waveform:
     """Harmonic complex: random f0 in 80-300 Hz, 3-8 harmonics with strictly
     decaying amplitudes, slow sinusoidal amplitude envelope, peak <= 0.8.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    rng = _rng_for(f"clean:{kind}", seed)
+    rng = _rng_for("clean:voice", seed)
     n = round(duration_s * rate)
     t = np.arange(n) / rate
     f0 = rng.uniform(80.0, 300.0)
@@ -92,7 +92,7 @@ def synth_clean(kind: str = "voice", seed: int = 0, duration_s: float = 1.0,
 
 
 def synth_noise(kind, seed: int = 0, duration_s: float = 1.0,
-                rate: int = 16000) -> Waveform:
+                rate: int = SAMPLE_RATE) -> Waveform:
     """Deterministic noise of the given kind, peak-normalized to <= 0.8."""
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -153,6 +153,8 @@ def load_manifest(path) -> list[ManifestEntry]:
             snr_db = float(snr_text)
         except ValueError as exc:
             raise ManifestError(f"{path}:{lineno}: bad snr_db {snr_text!r}") from exc
+        if not np.isfinite(snr_db):
+            raise ManifestError(f"{path}:{lineno}: snr_db must be finite, got {snr_text!r}")
         if split not in ("train", "test"):
             raise ManifestError(f"{path}:{lineno}: split must be train or test, got {split!r}")
         clean_abs = str((base / clean_path))
@@ -200,7 +202,7 @@ def iter_utterances(entries: Iterable[ManifestEntry], split: str,
 
 
 def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
-                window: int = 16384, hop: int = 8192) -> Iterator[TrainingPair]:
+                window: int, hop: int) -> Iterator[TrainingPair]:
     """Mix, preemphasize both signals, then window clean and noisy with
     identical offsets. Pair count equals the summed per-utterance chunk
     count.

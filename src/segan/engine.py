@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import NonScalarLossError, ShapeMismatchError
 
+LEAKY_ALPHA = 0.3       # LeakyReLU negative-side slope
+VBN_EPS = 1e-5          # virtual batch norm variance floor
 _grad_enabled = True
 _check_finite = False
 
@@ -237,12 +239,12 @@ def absolute(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, alpha: float = 0.3) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     pos = x.data > 0
-    out = _make(np.where(pos, x.data, alpha * x.data), (x,))
+    out = _make(np.where(pos, x.data, LEAKY_ALPHA * x.data), (x,))
     if out._tracked():
-        def back(g, x=x, pos=pos, alpha=alpha):
-            _accum(x, g * np.where(pos, 1.0, alpha).astype(x.data.dtype))
+        def back(g, x=x, pos=pos):
+            _accum(x, g * np.where(pos, 1.0, LEAKY_ALPHA).astype(x.data.dtype))
         out._backward = back
     return out
 
@@ -484,8 +486,7 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 
 
 def virtual_batch_norm(x: Tensor, ref_mean: np.ndarray, ref_var: np.ndarray,
-                       n_ref: int, gamma: Tensor, beta: Tensor,
-                       eps: float = 1e-5) -> Tensor:
+                       n_ref: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each example with reference-batch stats blended 1/(n_ref+1)
     with the example's own per-channel stats.
 
@@ -500,7 +501,7 @@ def virtual_batch_norm(x: Tensor, ref_mean: np.ndarray, ref_var: np.ndarray,
     centered = sub(x, ex_mean)
     ex_var = mul(centered, centered).mean_axis(1)
     mu = add(Tensor((w_ref * ref_mean).astype(dt)), mul(ex_mean, Tensor(np.asarray(w_new, dt))))
-    var = add(Tensor((w_ref * ref_var + eps).astype(dt)), mul(ex_var, Tensor(np.asarray(w_new, dt))))
+    var = add(Tensor((w_ref * ref_var + VBN_EPS).astype(dt)), mul(ex_var, Tensor(np.asarray(w_new, dt))))
     norm = div(sub(x, mu), sqrt(var))
     return add(mul(norm, gamma), beta)
 
@@ -549,7 +550,7 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def sample_z(batch: int, length: int = 8, channels: int = 1024,
+def sample_z(batch: int, length: int, channels: int,
              seed: int = 0, dtype=np.float32) -> Tensor:
     """Standard-normal latent block (batch, length, channels); seed-deterministic."""
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine as eg
 from .checkpoint import load_tensors, save_tensors
-from .engine import Parameter, Tensor, no_grad
+from .engine import VBN_EPS, Parameter, Tensor, no_grad
 from .errors import (
     ConfigError,
     CorruptCheckpointError,
@@ -27,10 +27,6 @@ from .errors import (
 
 WEIGHT_STD = 0.02
 PRELU_INIT = 0.25
-LEAKY_ALPHA = 0.3
-VBN_EPS = 1e-5
-
-DEFAULT_ENC_CHANNELS = (16, 32, 32, 64, 64, 128, 128, 256, 256, 512, 1024)
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class GeneratorConfig:
     window: int = 16384
     filter_width: int = 31
     stride: int = 2
-    enc_channels: tuple[int, ...] = DEFAULT_ENC_CHANNELS
+    enc_channels: tuple[int, ...] = (16, 32, 32, 64, 64, 128, 128, 256, 256, 512, 1024)
     z_channels: int = 1024
 
     def __post_init__(self):
@@ -201,7 +197,7 @@ def _d_trunk(disc: Discriminator, candidate, noisy, norm) -> Tensor:
     h = eg.concat_channels(_as_bwc(candidate, cfg.window), _as_bwc(noisy, cfg.window))
     for i in range(cfg.depth):
         h = eg.conv1d(h, disc.conv_w[i], disc.conv_b[i], stride=cfg.stride)
-        h = eg.leaky_relu(norm(i, h), LEAKY_ALPHA)
+        h = eg.leaky_relu(norm(i, h))
     return h
 
 
@@ -234,7 +230,7 @@ def d_forward(disc: Discriminator, candidate, noisy) -> Tensor:
 
     def vbn(i, h):
         return eg.virtual_batch_norm(h, disc.ref_mean[i], disc.ref_var[i], disc.n_ref,
-                                     disc.gamma[i], disc.beta[i], eps=VBN_EPS)
+                                     disc.gamma[i], disc.beta[i])
 
     h = _d_trunk(disc, candidate, noisy, vbn)
     h = eg.conv1d(h, disc.head_w, disc.head_b, stride=1)
@@ -265,29 +261,21 @@ def shape_ledger(cfg: GeneratorConfig) -> list[tuple[str, int, int]]:
 
 
 def _cfg_tensors(cfg: GeneratorConfig) -> dict[str, np.ndarray]:
-    return {
-        "cfg.window": np.array([cfg.window], dtype=np.float32),
-        "cfg.filter_width": np.array([cfg.filter_width], dtype=np.float32),
-        "cfg.stride": np.array([cfg.stride], dtype=np.float32),
-        "cfg.z_channels": np.array([cfg.z_channels], dtype=np.float32),
-        "cfg.enc_channels": np.array(cfg.enc_channels, dtype=np.float32),
-    }
+    """One float32 vector `cfg.<field>` per config field: a scalar field
+    stored as one element, a tuple field as one element per entry."""
+    return {f"cfg.{f.name}": np.array(getattr(cfg, f.name), dtype=np.float32).reshape(-1)
+            for f in fields(GeneratorConfig)}
 
 
 def _cfg_from_tensors(t: dict[str, np.ndarray], path) -> GeneratorConfig:
-    def scalar(name):
+    values = {}
+    for f in fields(GeneratorConfig):
+        name = f"cfg.{f.name}"
         if name not in t:
             raise CorruptCheckpointError(f"{path}: missing tensor {name}")
-        return int(round(float(t[name][0])))
-    if "cfg.enc_channels" not in t:
-        raise CorruptCheckpointError(f"{path}: missing tensor cfg.enc_channels")
-    return GeneratorConfig(
-        window=scalar("cfg.window"),
-        filter_width=scalar("cfg.filter_width"),
-        stride=scalar("cfg.stride"),
-        enc_channels=tuple(int(round(float(c))) for c in t["cfg.enc_channels"]),
-        z_channels=scalar("cfg.z_channels"),
-    )
+        ints = tuple(int(round(float(v))) for v in t[name])
+        values[f.name] = ints if isinstance(f.default, tuple) else ints[0]
+    return GeneratorConfig(**values)
 
 
 def save_checkpoint(path, gen: Generator, disc: Discriminator | None = None) -> None:
@@ -311,8 +299,7 @@ def _d_payload(name: str) -> bool:
     return name.startswith("d.") and name != "d.n_ref"
 
 
-def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None,
-                    discriminator: bool = True
+def load_checkpoint(path, discriminator: bool = True
                     ) -> tuple[Generator, Discriminator | None, GeneratorConfig]:
     """Build G, and D when the file holds one, straight from the stored
     tensors. With discriminator=False the D tensors get every check but
@@ -320,11 +307,6 @@ def load_checkpoint(path, expect_cfg: GeneratorConfig | None = None,
     """
     stored = load_tensors(path, skip=None if discriminator else _d_payload)
     cfg = _cfg_from_tensors(stored, path)
-    if expect_cfg is not None:
-        for field in fields(GeneratorConfig):
-            have, want = getattr(cfg, field.name), getattr(expect_cfg, field.name)
-            if have != want:
-                raise CorruptCheckpointError(f"{path}: cfg.{field.name} is {have}, expected {want}")
     consumed = set(_cfg_tensors(cfg))
 
     def take(name, shape):

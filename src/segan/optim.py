@@ -13,12 +13,13 @@ import numpy as np
 
 from .engine import Parameter
 
+LR = 0.0002
 RHO = 0.9
 EPS = 1e-6
 
 
 class RMSprop:
-    def __init__(self, params: list[Parameter], lr: float = 0.0002):
+    def __init__(self, params: list[Parameter], lr: float = LR):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = list(params)

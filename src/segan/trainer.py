@@ -19,7 +19,8 @@ import numpy as np
 
 from . import engine as eg
 from .audio_io import (
-    Waveform,
+    RATE_48K,
+    SAMPLE_RATE,
     chunk,
     deemphasis,
     preemphasis,
@@ -43,13 +44,15 @@ from .model import (
     save_checkpoint,
     set_reference_batch,
 )
-from .optim import RMSprop
+from .optim import LR, RMSprop
+
+Z_MODES = ("seeded", "zero")    # enhance_file's latent: a seeded N(0, 1) draw, or zeros
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 86
-    lr: float = 0.0002
+    lr: float = LR
     batch_size: int = 16
     lambda_l1: float = 100.0
     seed: int = 0
@@ -240,19 +243,16 @@ def enhance_file(checkpoint_path, in_path, out_path,
     through the generator, reassembly, deemphasis, write. 48 kHz input is
     resampled; output duration equals input duration.
     """
-    if z_mode not in ("seeded", "zero"):
-        raise ConfigError(f"z_mode must be 'seeded' or 'zero', got {z_mode!r}")
+    if z_mode not in Z_MODES:
+        raise ConfigError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
     gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
     w = read_wav(in_path)
-    if w.sample_rate == 48000:
+    if w.sample_rate == RATE_48K:
         w = resample_48k_to_16k(w)
-    elif w.sample_rate != 16000:
+    elif w.sample_rate != SAMPLE_RATE:
         raise WrongRateError(f"{in_path}: expected 16 or 48 kHz, got {w.sample_rate}")
     pre = preemphasis(w)
     windows, pad = chunk(pre, mcfg.window, mcfg.window)
-    if windows.shape[0] == 0:
-        write_wav(Waveform(np.zeros(0), 16000), out_path)
-        return
     n = windows.shape[0]
     if z_mode == "zero":
         z = Tensor(np.zeros((n, mcfg.bottleneck_len, mcfg.z_channels), dtype=np.float32))
@@ -260,5 +260,5 @@ def enhance_file(checkpoint_path, in_path, out_path,
         z = sample_z(n, mcfg.bottleneck_len, mcfg.z_channels, seed=z_seed)
     with no_grad():
         out = g_forward(gen, windows.astype(np.float32)[..., None], z)
-    flat = reassemble(out.data[:, :, 0].astype(np.float64), pad, 16000)
+    flat = reassemble(out.data[:, :, 0].astype(np.float64), pad)
     write_wav(deemphasis(flat), out_path)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .audio_io import Waveform
+from .audio_io import SAMPLE_RATE, Waveform
 from .errors import InvalidWindowError, ShapeMismatchError, TooShortError, WrongRateError
 
 # Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
@@ -17,6 +17,12 @@ from .errors import InvalidWindowError, ShapeMismatchError, TooShortError, Wrong
 # whatever the signal length. A batched (i)rfft gives each row the same bits
 # as a one-row call.
 _BLOCK_FRAMES = 128
+
+ALPHA = 0.98            # decision-directed smoothing
+NOISE_FRAMES = 6        # leading noise-only frames
+GAIN_FLOOR_DB = -25.0   # minimum gain
+FRAME = 512             # STFT frame length
+HOP = 256               # STFT hop
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class Spectrogram:
                 f"{self.frames.shape[1]} bins inconsistent with frame {self.frame_len}")
 
 
-def stft(w: Waveform, frame: int = 512, hop: int = 256) -> Spectrogram:
+def stft(w: Waveform, frame: int = FRAME, hop: int = HOP) -> Spectrogram:
     """Hamming-windowed real FFT with a zero-padded tail so the frames cover the
     whole signal.
     """
@@ -53,7 +59,7 @@ def stft(w: Waveform, frame: int = 512, hop: int = 256) -> Spectrogram:
     return Spectrogram(rows, frame, hop)
 
 
-def istft(s: Spectrogram, sample_rate: int = 16000) -> Waveform:
+def istft(s: Spectrogram) -> Waveform:
     """Weighted overlap-add inverse: sum of window-weighted frames divided
     by the summed squared window, which reconstructs exactly wherever the
     denominator is nonzero. Output length is (n_frames-1)*hop + frame_len.
@@ -79,11 +85,11 @@ def istft(s: Spectrogram, sample_rate: int = 16000) -> Waveform:
             num_view += group
             den_view += win * win
     out = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
-    return Waveform(out, sample_rate)
+    return Waveform(out, SAMPLE_RATE)
 
 
-def wiener_gains(power: np.ndarray, alpha: float = 0.98, noise_frames: int = 6,
-                 gain_floor_db: float = -25.0) -> np.ndarray:
+def wiener_gains(power: np.ndarray, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
+                 gain_floor_db: float = GAIN_FLOOR_DB) -> np.ndarray:
     """Per-bin gain H = xi / (1 + xi) for a (frames, bins) power spectrogram,
     with the a-priori SNR xi tracked by the decision-directed recursion
     xi_t = alpha * (H_{t-1}^2 * gamma_{t-1}) + (1 - alpha) * max(gamma_t - 1, 0)
@@ -113,17 +119,16 @@ def wiener_gains(power: np.ndarray, alpha: float = 0.98, noise_frames: int = 6,
     return gains
 
 
-def enhance_wiener(noisy: Waveform, alpha: float = 0.98, noise_frames: int = 6,
-                   gain_floor_db: float = -25.0, frame: int = 512,
-                   hop: int = 256) -> Waveform:
+def enhance_wiener(noisy: Waveform, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
+                   gain_floor_db: float = GAIN_FLOOR_DB, frame: int = FRAME,
+                   hop: int = HOP) -> Waveform:
     """Apply wiener_gains in the STFT domain and resynthesize; output length
     equals the input length exactly.
     """
-    if noisy.sample_rate != 16000:
+    if noisy.sample_rate != SAMPLE_RATE:
         raise WrongRateError(f"expected 16 kHz input, got {noisy.sample_rate}")
     spec = stft(noisy, frame, hop)
     power = np.abs(spec.frames) ** 2
     gains = wiener_gains(power, alpha, noise_frames, gain_floor_db)
     cleaned = Spectrogram(gains * spec.frames, frame, hop)
-    out = istft(cleaned, noisy.sample_rate)
-    return Waveform(out.samples[:len(noisy)], noisy.sample_rate)
+    return Waveform(istft(cleaned).samples[:len(noisy)], SAMPLE_RATE)

@@ -31,6 +31,17 @@ def read_raw_pcm(path):
     return np.frombuffer(raw, dtype="<i2").copy(), rate
 
 
+def emphasis_oracle(x, coef, inverse=False):
+    """Per-sample first-order emphasis filter for any coefficient:
+    y[n] = x[n] - coef * x[n-1], or with inverse=True y[n] = x[n] + coef * y[n-1]."""
+    y = np.empty(len(x))
+    prev = 0.0
+    for n, v in enumerate(x):
+        y[n] = v + coef * prev if inverse else v - coef * prev
+        prev = y[n] if inverse else v
+    return y
+
+
 def conv1d_oracle(x, w, b, stride):
     """Nested-loop strided cross-correlation with same-style zero padding."""
     batch, length, cin = x.shape

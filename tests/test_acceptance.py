@@ -75,7 +75,7 @@ _STATE: dict = {}
 def _corpus():
     if "pairs" not in _STATE:
         dur = 1024 / 16000
-        utts = [(synth_clean("voice", seed=100 + i, duration_s=dur),
+        utts = [(synth_clean(seed=100 + i, duration_s=dur),
                  synth_noise("white", seed=1100 + i, duration_s=dur), 0.0)
                 for i in range(50)]
         _STATE["pairs"] = list(build_pairs(utts, window=1024, hop=1024))
@@ -290,7 +290,7 @@ def test_criterion_09_enhancement_improves_held_out_ssnr():
     def body():
         res = _l1_run()
         dur = 3 * 1024 / 16000
-        clean = synth_clean("voice", seed=99999, duration_s=dur)
+        clean = synth_clean(seed=99999, duration_s=dur)
         noise = synth_noise("white", seed=55555, duration_s=dur)
         noisy = mix_at_snr(clean, noise, 0.0)
         tmp = Path(tempfile.mkdtemp(prefix="accept_c9_"))
@@ -308,7 +308,7 @@ def test_criterion_09_enhancement_improves_held_out_ssnr():
 
 def test_criterion_10_wiener_baseline():
     def body():
-        clean = synth_clean("voice", seed=7, duration_s=1.0)
+        clean = synth_clean(seed=7, duration_s=1.0)
         padded = Waveform(np.concatenate([np.zeros(2048), clean.samples]), 16000)
         noise = synth_noise("white", seed=8, duration_s=len(padded) / 16000)
         noisy = mix_at_snr(padded, noise, 5.0)

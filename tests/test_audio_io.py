@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from segan.audio_io import (Waveform, chunk, deemphasis, preemphasis,
+from segan.audio_io import (PREEMPH, Waveform, chunk, deemphasis, preemphasis,
                             read_wav, reassemble, resample_48k_to_16k,
                             write_wav)
 from segan.errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
-from helpers import read_raw_pcm, tone, write_raw_wav
+from helpers import emphasis_oracle, read_raw_pcm, tone, write_raw_wav
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,8 @@ def test_preemphasis_fixture():
 
 
 def test_deemphasis_fixture():
-    out = deemphasis(Waveform(np.array([1.0, 0.0, 0.0]), 16000), coef=0.5)
-    assert np.allclose(out.samples, [1.0, 0.5, 0.25], atol=1e-15)
+    out = deemphasis(Waveform(np.array([1.0, 0.0, 0.0]), 16000))
+    assert np.allclose(out.samples, [1.0, 0.95, 0.9025], atol=1e-15)
 
 
 def test_emphasis_round_trip_below_1e_9():
@@ -176,10 +176,12 @@ def test_emphasis_round_trip_below_1e_9():
     assert np.max(np.abs(fwd - x)) < 1e-9
 
 
-def test_preemphasis_coef_zero_is_identity():
-    x = np.array([0.3, -0.2, 0.9])
-    out = preemphasis(Waveform(x, 16000), coef=0.0)
-    assert np.array_equal(out.samples, x)
+def test_emphasis_filters_match_loop_oracle():
+    x = np.random.default_rng(12).uniform(-1, 1, 3000)
+    w = Waveform(x, 16000)
+    assert np.array_equal(preemphasis(w).samples, emphasis_oracle(x, PREEMPH))
+    assert np.array_equal(deemphasis(w).samples, emphasis_oracle(x, PREEMPH, inverse=True))
+    assert np.array_equal(emphasis_oracle(x, 0.0), x)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_flag_defaults_match_library_defaults():
     assert checked == 30
 
 
+# every subcommand's flags in table order; "*" marks a required flag
+_SURFACE = {
+    "synth-data": "out* n_utterances duration_s seed rate kinds snrs test_fraction",
+    "train": "data* out* window filter_width stride enc_channels z_channels hop epochs lr "
+             "batch_size lambda_l1 seed checkpoint_every adversarial accum_steps",
+    "enhance": "checkpoint* in* out* z_mode z_seed",
+    "enhance-wiener": "in* out* alpha noise_frames gain_floor_db frame hop",
+    "eval": "clean* test* metric report",
+    "gradcheck": "eps tol seed",
+    "shapes": "window filter_width stride enc_channels z_channels",
+    "mos": "ratings*",
+}
+
+
+def test_flag_table_is_pinned():
+    got = {sub: " ".join(f.name + "*" * f.required for f in flags)
+           for sub, flags in SUBCOMMANDS.items()}
+    assert got == _SURFACE
+
+
 def test_full_scale_reference_ledger_contents():
     assert FULL_SCALE_LEDGER[0] == ("input", 16384, 1)
     assert FULL_SCALE_LEDGER[-1] == ("bottleneck+z", 8, 2048)
@@ -333,7 +353,7 @@ def test_synth_train_enhance_eval_pipeline(tmp_path, capsys):
 
 def test_enhance_wiener_cli(tmp_path, capsys):
     src = tmp_path / "noisy.wav"
-    write_wav(synth_clean("voice", seed=5, duration_s=1.0), src)
+    write_wav(synth_clean(seed=5, duration_s=1.0), src)
     dst = tmp_path / "out.wav"
     assert main(["enhance-wiener", "--in", str(src), "--out", str(dst)]) == 0
     assert len(read_wav(dst)) == 16000
@@ -368,13 +388,16 @@ _INPUTS = {
     ("gradcheck", "eps", "0"),
     ("synth-data", "kinds", ""),
     ("synth-data", "snrs", ""),
+    ("synth-data", "snrs", "nan"),
+    ("synth-data", "snrs", "inf"),
+    ("synth-data", "snrs", "5,-inf"),
     ("synth-data", "kinds", "bogus"),
     ("synth-data", "test_fraction", "1.5"),
     ("synth-data", "test_fraction", "-0.5"),
     ("synth-data", "rate", "0"),
 ])
 def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
-    write_wav(synth_clean("voice", seed=5, duration_s=1.0), tmp_path / "noisy.wav")
+    write_wav(synth_clean(seed=5, duration_s=1.0), tmp_path / "noisy.wav")
     code = main([sub, *_INPUTS[sub](tmp_path), f"--{flag.replace('_', '-')}", value])
     err = capsys.readouterr().err
     assert code in (1, 2)

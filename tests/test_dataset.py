@@ -55,31 +55,31 @@ def test_mix_validation():
 # Clean synthesis
 
 def test_synth_clean_deterministic():
-    a = synth_clean("voice", seed=4)
-    b = synth_clean("voice", seed=4)
-    c = synth_clean("voice", seed=5)
+    a = synth_clean(seed=4)
+    b = synth_clean(seed=4)
+    c = synth_clean(seed=5)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_synth_clean_peak_bounded_over_100_seeds():
     for seed in range(100):
-        w = synth_clean("voice", seed=seed, duration_s=0.25)
+        w = synth_clean(seed=seed, duration_s=0.25)
         peak = np.max(np.abs(w.samples))
         assert 0.5 < peak <= 0.8 + 1e-12
 
 
 def test_synth_clean_duration_and_rate():
-    w = synth_clean("voice", seed=0, duration_s=0.5, rate=8000)
+    w = synth_clean(seed=0, duration_s=0.5, rate=8000)
     assert len(w) == 4000
     assert w.sample_rate == 8000
     with pytest.raises(ValueError):
-        synth_clean("voice", seed=0, duration_s=0.0)
+        synth_clean(seed=0, duration_s=0.0)
 
 
 def test_synth_clean_spectral_peak_sits_on_a_harmonic():
     for seed in range(10):
-        w = synth_clean("voice", seed=seed, duration_s=1.0)
+        w = synth_clean(seed=seed, duration_s=1.0)
         f0 = _rng_for("clean:voice", seed).uniform(80.0, 300.0)
         spec = np.abs(np.fft.rfft(w.samples))
         peak_hz = float(np.argmax(spec))  # 1 s of audio: bin index == Hz
@@ -212,6 +212,15 @@ def test_manifest_rejects_bad_lines(tmp_path, line, frag):
         load_manifest(man)
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_manifest_rejects_non_finite_snr(tmp_path, snr):
+    _write_clean(tmp_path / "c.wav")
+    man = tmp_path / "m.tsv"
+    man.write_text(f"c.wav\tSYNTH:white\t5\ttrain\nc.wav\tSYNTH:white\t{snr}\ttrain\n")
+    with pytest.raises(ManifestError, match=r"m\.tsv:2: snr_db must be finite"):
+        load_manifest(man)
+
+
 def test_manifest_error_carries_line_number(tmp_path):
     _write_clean(tmp_path / "c.wav")
     man = tmp_path / "m.tsv"
@@ -266,7 +275,7 @@ def test_iter_utterances_reads_noise_files(tmp_path):
 
 
 def test_build_pairs_counts_and_shapes():
-    clean = synth_clean("voice", seed=0, duration_s=1.0)
+    clean = synth_clean(seed=0, duration_s=1.0)
     noise = synth_noise("white", seed=1, duration_s=1.0)
     pairs = list(build_pairs([(clean, noise, 0.0)], window=16384, hop=8192))
     assert len(pairs) == 2

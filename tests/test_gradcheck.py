@@ -58,7 +58,7 @@ def test_detects_kink_disagreement():
     x = Parameter("x", np.zeros((4, 4)))
 
     def loss():
-        return eg.leaky_relu(x, 0.3).sum()
+        return eg.leaky_relu(x).sum()
 
     assert grad_check(loss, [x], eps=1e-5) > 0.1
 

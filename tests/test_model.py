@@ -1,5 +1,7 @@
 """Generator/discriminator wiring, shape ledger, and model checkpoints."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -334,7 +336,8 @@ def test_full_checkpoint_round_trip(tmp_path):
     set_reference_batch(disc, *_ref_batch(rng))
     path = tmp_path / "gd.sgn"
     save_checkpoint(path, gen, disc)
-    _, loaded, _ = load_checkpoint(path, expect_cfg=TINY)
+    _, loaded, cfg = load_checkpoint(path)
+    assert cfg == TINY
     assert loaded is not None
     assert loaded.n_ref == disc.n_ref
     for a, b in zip(disc.ref_mean, loaded.ref_mean):
@@ -351,17 +354,35 @@ def test_save_refuses_disc_without_reference(tmp_path):
         save_checkpoint(tmp_path / "x.sgn", gen, disc)
 
 
-def test_load_rejects_expected_config_mismatch(tmp_path):
-    path = tmp_path / "g.sgn"
-    save_checkpoint(path, build_generator(TINY))
-    with pytest.raises(CorruptCheckpointError, match="cfg.window"):
-        load_checkpoint(path, expect_cfg=REDUCED)
-
-
 def _edit_archive(path, mutate):
     tensors = load_tensors(path)
     mutate(tensors)
     save_tensors(path, tensors)
+
+
+def test_checkpoint_round_trips_every_config_field(tmp_path):
+    cfg = GeneratorConfig(window=243, filter_width=7, stride=3, enc_channels=(3, 5), z_channels=6)
+    for f in fields(GeneratorConfig):
+        assert getattr(cfg, f.name) != f.default, f.name
+    gen = build_generator(cfg, seed=4)
+    path = tmp_path / "g.sgn"
+    save_checkpoint(path, gen)
+    assert {name for name in load_tensors(path) if name.startswith("cfg.")} == {
+        f"cfg.{f.name}" for f in fields(GeneratorConfig)}
+    loaded, _, got = load_checkpoint(path)
+    assert got == cfg
+    noisy = np.random.default_rng(1).uniform(-0.5, 0.5, (2, 243)).astype(np.float32)
+    z = sample_z(2, cfg.bottleneck_len, cfg.z_channels, seed=2)
+    assert np.array_equal(g_forward(gen, noisy, z).data, g_forward(loaded, noisy, z).data)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(GeneratorConfig)])
+def test_load_names_missing_config_tensor(tmp_path, field):
+    path = tmp_path / "g.sgn"
+    save_checkpoint(path, build_generator(TINY))
+    _edit_archive(path, lambda t: t.pop(f"cfg.{field}"))
+    with pytest.raises(CorruptCheckpointError, match=f"missing tensor cfg.{field}$"):
+        load_checkpoint(path)
 
 
 def test_load_names_missing_tensor(tmp_path):

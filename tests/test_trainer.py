@@ -335,7 +335,8 @@ def test_adversarial_loop_smoke(tmp_path):
     for rep in result.reports:
         for v in (rep.d_real, rep.d_fake, rep.g_adv, rep.g_l1):
             assert np.isfinite(v)
-    _, disc, _ = load_checkpoint(result.final_checkpoint, expect_cfg=TINY)
+    _, disc, cfg = load_checkpoint(result.final_checkpoint)
+    assert cfg == TINY
     assert disc is not None and disc.n_ref == 4
 
 

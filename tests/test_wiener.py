@@ -151,7 +151,7 @@ def test_enhance_zero_noise_passthrough():
 
 
 def test_enhance_improves_snr_on_white_noise():
-    clean = synth_clean("voice", seed=7, duration_s=1.0)
+    clean = synth_clean(seed=7, duration_s=1.0)
     lead = np.zeros(2048)  # noise-only header for the estimator
     padded = _wave(np.concatenate([lead, clean.samples]))
     noise = synth_noise("white", seed=8, duration_s=len(padded) / 16000)
