@@ -16,6 +16,7 @@ from .errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 SAMPLE_RATE = 16000     # the rate every model, baseline and metric runs at
 RATE_48K = 48000        # the one other input rate, decimated by 3 on the way in
 PREEMPH = 0.95          # first-order preemphasis coefficient
+_DEEMPH_BLOCK = 1 << 14  # deemphasis samples per list: 16k ran faster than 4k, 64k or one list
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ def resample_48k_to_16k(w: Waveform) -> Waveform:
     """
     if w.sample_rate != RATE_48K:
         raise WrongRateError(f"resampler expects {RATE_48K} Hz input, got {w.sample_rate}")
+    if len(w) == 0:
+        return Waveform(w.samples, SAMPLE_RATE)
     taps = _design_lowpass(127, 0.45 * SAMPLE_RATE, RATE_48K)
     delay = (len(taps) - 1) // 2
     full = np.convolve(w.samples, taps, mode="full")
@@ -104,13 +107,22 @@ def preemphasis(w: Waveform) -> Waveform:
 
 
 def deemphasis(w: Waveform) -> Waveform:
-    """Exact inverse of preemphasis: y[n] = x[n] + PREEMPH * y[n-1]."""
+    """Exact inverse of preemphasis: y[n] = x[n] + PREEMPH * y[n-1].
+
+    The recurrence runs on Python floats, which is the same IEEE double
+    arithmetic in the same order as a loop over the array, so the result
+    is bit-identical to it; blocks of _DEEMPH_BLOCK samples keep the
+    float lists small.
+    """
     x = w.samples
     y = np.empty_like(x)
-    coef, acc = PREEMPH, 0.0    # a local: the loop runs once per sample
-    for n in range(x.size):
-        acc = x[n] + coef * acc
-        y[n] = acc
+    coef, acc = PREEMPH, 0.0    # locals: the inner loop runs once per sample
+    for lo in range(0, x.size, _DEEMPH_BLOCK):
+        run = []
+        for v in x[lo:lo + _DEEMPH_BLOCK].tolist():
+            acc = v + coef * acc
+            run.append(acc)
+        y[lo:lo + _DEEMPH_BLOCK] = run
     return Waveform(y, w.sample_rate)
 
 

@@ -260,6 +260,8 @@ def cmd_synth_data(v: dict) -> int:
     kinds, snrs = v["kinds"], v["snrs"]
     if v["rate"] < 1:
         raise ConfigError(f"synth-data.rate must be positive, got {v['rate']}")
+    if not v["duration_s"] > 0:
+        raise ConfigError(f"synth-data.duration_s must be positive, got {v['duration_s']}")
     for name in ("kinds", "snrs"):
         if not v[name]:
             raise ConfigError(f"synth-data.{name} must name at least one value")

@@ -13,6 +13,8 @@ against finite differences.
 
 from __future__ import annotations
 
+import math
+import mmap
 from contextlib import contextmanager
 
 import numpy as np
@@ -113,15 +115,32 @@ class Tensor:
         return self.requires_grad and self._parents != ()
 
 
+def _unwritten_zeros(shape, dtype) -> np.ndarray:
+    """A zero array on its own anonymous mapping, whose pages become
+    resident only when written. np.zeros gives that only while calloc can
+    take fresh pages: once it reuses freed heap memory it clears it by
+    writing, so in a process that loads one model after another the
+    buffers would become resident again."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 class Parameter(Tensor):
-    """A named trainable tensor; gradient buffer always allocated."""
+    """A named trainable tensor whose gradient buffer always exists and
+    starts at zero.
+
+    The buffer holds no resident memory until a backward pass or zero_grad
+    first writes it, so a model loaded only to run forward costs its
+    weights alone.
+    """
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = _unwritten_zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"

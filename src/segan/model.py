@@ -274,7 +274,12 @@ def _cfg_from_tensors(t: dict[str, np.ndarray], path) -> GeneratorConfig:
         if name not in t:
             raise CorruptCheckpointError(f"{path}: missing tensor {name}")
         ints = tuple(int(round(float(v))) for v in t[name])
-        values[f.name] = ints if isinstance(f.default, tuple) else ints[0]
+        scalar = not isinstance(f.default, tuple)
+        if not ints or (scalar and len(ints) != 1):
+            raise CorruptCheckpointError(
+                f"{path}: tensor {name} holds {len(ints)} values, expected "
+                f"{'1' if scalar else 'at least 1'}")
+        values[f.name] = ints[0] if scalar else ints
     return GeneratorConfig(**values)
 
 

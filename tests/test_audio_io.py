@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from segan.audio_io import (PREEMPH, Waveform, chunk, deemphasis, preemphasis,
-                            read_wav, reassemble, resample_48k_to_16k,
-                            write_wav)
+from segan.audio_io import (_DEEMPH_BLOCK, PREEMPH, Waveform, chunk, deemphasis,
+                            preemphasis, read_wav, reassemble,
+                            resample_48k_to_16k, write_wav)
 from segan.errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
 from helpers import emphasis_oracle, read_raw_pcm, tone, write_raw_wav
@@ -142,7 +142,7 @@ def test_resample_rejects_20khz():
     assert np.sqrt(np.mean(_interior(out) ** 2)) < 0.01 * (0.5 / np.sqrt(2))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 100, 101, 102])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102])
 def test_resample_length_is_ceil_n_over_3(n):
     out = resample_48k_to_16k(Waveform(np.zeros(n), 48000))
     assert len(out) == -(-n // 3)
@@ -182,6 +182,14 @@ def test_emphasis_filters_match_loop_oracle():
     assert np.array_equal(preemphasis(w).samples, emphasis_oracle(x, PREEMPH))
     assert np.array_equal(deemphasis(w).samples, emphasis_oracle(x, PREEMPH, inverse=True))
     assert np.array_equal(emphasis_oracle(x, 0.0), x)
+
+
+@pytest.mark.parametrize("n", [_DEEMPH_BLOCK - 1, _DEEMPH_BLOCK, _DEEMPH_BLOCK + 1,
+                               2 * _DEEMPH_BLOCK + 7])
+def test_deemphasis_carries_across_blocks(n):
+    x = np.random.default_rng(n).uniform(-1, 1, n)
+    out = deemphasis(Waveform(x, 16000)).samples
+    assert np.array_equal(out, emphasis_oracle(x, PREEMPH, inverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,9 @@ _INPUTS = {
     ("synth-data", "test_fraction", "1.5"),
     ("synth-data", "test_fraction", "-0.5"),
     ("synth-data", "rate", "0"),
+    ("synth-data", "duration_s", "0"),
+    ("synth-data", "duration_s", "-1"),
+    ("synth-data", "duration_s", "nan"),
 ])
 def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
     write_wav(synth_clean(seed=5, duration_s=1.0), tmp_path / "noisy.wav")

@@ -1,6 +1,11 @@
 """Generator/discriminator wiring, shape ledger, and model checkpoints."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +452,42 @@ def test_load_without_discriminator_builds_generator_only(tmp_path):
     loaded, no_disc, cfg = load_checkpoint(path, discriminator=False)
     assert no_disc is None and cfg == TINY
     assert params_digest(loaded.parameters()) == params_digest(gen.parameters())
+
+
+_LOAD_RSS_SCRIPT = """
+import json, resource, sys
+from segan.model import load_checkpoint
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+gen, _, _ = load_checkpoint(sys.argv[1], discriminator=False)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+params = gen.parameters()
+print(json.dumps({
+    "grown_bytes": grown * 1024,
+    "weight_bytes": sum(p.data.nbytes for p in params),
+    "zero_grads": all(p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype
+                      and not p.grad.any() for p in params),
+}))
+"""
+
+
+def test_loaded_gradient_buffers_take_no_memory_until_written(tmp_path):
+    cfg = GeneratorConfig(window=4, filter_width=31, enc_channels=(384, 768), z_channels=16)
+    path = tmp_path / "big.sgn"
+    save_checkpoint(path, build_generator(cfg, seed=0))
+    # A process started by exec inherits the ru_maxrss of the one that
+    # forked it, so the load runs in an interpreter started by a small relay
+    # interpreter rather than by this large test process.
+    src = str(Path(model.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    relay = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    proc = subprocess.run([sys.executable, "-c", relay,
+                           sys.executable, "-c", _LOAD_RSS_SCRIPT, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["weight_bytes"] >= 64 << 20
+    assert got["grown_bytes"] < 1.5 * got["weight_bytes"], got
+    assert got["zero_grads"]
 
 
 def test_load_truncated_file(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from segan import engine as eg
-from segan.audio_io import Waveform, read_wav, write_wav
+from segan.audio_io import (PREEMPH, Waveform, chunk, preemphasis, read_wav,
+                            reassemble, write_wav)
 from segan.dataset import TrainingPair
 from segan.engine import Tensor, backward, sample_z
 from segan.checkpoint import load_tensors, save_tensors
@@ -14,10 +15,10 @@ from segan.model import (GeneratorConfig, build_discriminator,
                          build_generator, g_forward, load_checkpoint,
                          save_checkpoint, set_reference_batch)
 from segan.optim import RMSprop
-from segan.trainer import (TrainConfig, _z_seed_for, enhance_file, train,
-                           train_step)
+from segan.trainer import (ENHANCE_BATCH, Z_MODES, TrainConfig, _z_seed_for,
+                           enhance_file, train, train_step)
 
-from helpers import params_digest
+from helpers import emphasis_oracle, params_digest
 
 TINY = GeneratorConfig(window=64, filter_width=5, enc_channels=(2, 3), z_channels=4)
 
@@ -430,6 +431,42 @@ def test_enhance_empty_input(tmp_path):
     assert len(read_wav(dst)) == 0
 
 
+def test_enhance_empty_48k_input(tmp_path):
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(TINY, seed=8))
+    src = tmp_path / "in48.wav"
+    write_wav(Waveform(np.zeros(0), 48000), src)
+    dst = tmp_path / "out.wav"
+    enhance_file(ckpt, src, dst)
+    out = read_wav(dst)
+    assert len(out) == 0 and out.sample_rate == 16000
+
+
+@pytest.mark.parametrize("z_mode", Z_MODES)
+def test_enhance_micro_batches_match_one_batch(tmp_path, z_mode):
+    # two full micro-batches and a partial one, against the whole file as
+    # one generator batch and the per-sample deemphasis loop
+    gen = build_generator(TINY, seed=8)
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, gen)
+    n = 2 * ENHANCE_BATCH + 3
+    src = tmp_path / "in.wav"
+    write_wav(Waveform(np.random.default_rng(10).uniform(-0.5, 0.5, n * TINY.window - 5),
+                       16000), src)
+    enhance_file(ckpt, src, tmp_path / "out.wav", z_mode=z_mode, z_seed=3)
+
+    windows, pad = chunk(preemphasis(read_wav(src)), TINY.window, TINY.window)
+    assert windows.shape[0] == n
+    z = (Tensor(np.zeros((n, TINY.bottleneck_len, TINY.z_channels), np.float32))
+         if z_mode == "zero" else sample_z(n, TINY.bottleneck_len, TINY.z_channels, seed=3))
+    with eg.no_grad():
+        y = g_forward(gen, windows.astype(np.float32)[..., None], z)
+    flat = reassemble(y.data[:, :, 0].astype(np.float64), pad).samples
+    write_wav(Waveform(emphasis_oracle(flat, PREEMPH, inverse=True), 16000),
+              tmp_path / "ref.wav")
+    assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
+
+
 def _gd_checkpoint(path):
     gen = build_generator(TINY, seed=8)
     disc = build_discriminator(TINY, seed=9)
@@ -454,6 +491,9 @@ D_EDITS = {
     "missing_ref": {"d.vbn2.ref_var": None},
     "missing_n_ref": {"d.n_ref": None},
     "unexpected": {"d.extra": np.zeros(1, np.float32)},
+    "empty_cfg": {"cfg.window": np.zeros(0, np.float32)},
+    "long_cfg": {"cfg.stride": np.array([2, 2], np.float32)},
+    "empty_cfg_tuple": {"cfg.enc_channels": np.zeros(0, np.float32)},
 }
 
 
