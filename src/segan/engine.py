@@ -1,8 +1,9 @@
 """Reverse-mode autodiff over batched 1-D signal tensors.
 
-Define-by-run: every op builds the output tensor and, when gradients are
-enabled, records its parents plus a closure that routes the upstream gradient
-back to them. `backward(loss)` walks the recorded graph in reverse
+Define-by-run: every op computes its result and hands it to `_make` with its
+parents and a closure that routes the upstream gradient back to them; `_make`
+alone decides whether to record that node (gradients enabled and some parent
+requiring grad). `backward(loss)` walks the recorded graph in reverse
 topological order. Convention for conv-shaped data is (batch, length,
 channels); reductions and reshapes may produce other ranks.
 
@@ -94,25 +95,17 @@ class Tensor:
     def mean_axis(self, axis: int) -> "Tensor":
         """Mean along one axis, keepdims=True."""
         n = self.data.shape[axis]
-        out = _make(np.mean(self.data, axis=axis, keepdims=True), (self,))
-        if out._tracked():
-            def back(g, x=self, axis=axis, n=n):
-                _accum(x, np.broadcast_to(g / n, x.data.shape))
-            out._backward = back
-        return out
+
+        def back(g):
+            _accum(self, np.broadcast_to(g / n, self.data.shape))
+        return _make(np.mean(self.data, axis=axis, keepdims=True), (self,), back)
 
     def reshape(self, *shape) -> "Tensor":
-        out = _make(self.data.reshape(*shape), (self,))
-        if out._tracked():
-            orig = self.data.shape
+        orig = self.data.shape
 
-            def back(g, x=self, orig=orig):
-                _accum(x, g.reshape(orig))
-            out._backward = back
-        return out
-
-    def _tracked(self) -> bool:
-        return self.requires_grad and self._parents != ()
+        def back(g):
+            _accum(self, g.reshape(orig))
+        return _make(self.data.reshape(*shape), (self,), back)
 
 
 def _unwritten_zeros(shape, dtype) -> np.ndarray:
@@ -146,13 +139,18 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def _make(data: np.ndarray, parents) -> Tensor:
+def _make(data: np.ndarray, parents, back) -> Tensor:
+    """Wrap an op's result; the one place graph nodes are recorded. The
+    parents (None entries, an absent bias, dropped) and `back` are kept only
+    when gradients are on and some parent requires grad."""
     if _check_finite and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite values produced by an op")
+    parents = tuple(p for p in parents if p is not None)
     req = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
-        out._parents = tuple(parents)
+        out._parents = parents
+        out._backward = back
     return out
 
 
@@ -176,12 +174,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _reduce(x: Tensor, fn, scale: float) -> Tensor:
-    out = _make(np.asarray(fn(x.data)), (x,))
-    if out._tracked():
-        def back(g, x=x, scale=scale):
-            _accum(x, np.broadcast_to(g * scale, x.data.shape).astype(x.data.dtype, copy=False))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(x, np.broadcast_to(g * scale, x.data.shape).astype(x.data.dtype, copy=False))
+    return _make(np.asarray(fn(x.data)), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -189,83 +184,59 @@ def _reduce(x: Tensor, fn, scale: float) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data + b.data, (a, b))
-    if out._tracked():
-        def back(g, a=a, b=b):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
+    return _make(a.data + b.data, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data - b.data, (a, b))
-    if out._tracked():
-        def back(g, a=a, b=b):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(-g, b.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+    return _make(a.data - b.data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data * b.data, (a, b))
-    if out._tracked():
-        def back(g, a=a, b=b):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    return _make(a.data * b.data, (a, b), back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data / b.data, (a, b))
-    if out._tracked():
-        def back(g, a=a, b=b):
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    return _make(a.data / b.data, (a, b), back)
 
 
 def sqrt(x: Tensor) -> Tensor:
     root = np.sqrt(x.data)
-    out = _make(root, (x,))
-    if out._tracked():
-        def back(g, x=x, root=root):
-            _accum(x, g * (0.5 / root))
-        out._backward = back
-    return out
+
+    def back(g):
+        _accum(x, g * (0.5 / root))
+    return _make(root, (x,), back)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = _make(y, (x,))
-    if out._tracked():
-        def back(g, x=x, y=y):
-            _accum(x, g * (1.0 - y * y))
-        out._backward = back
-    return out
+
+    def back(g):
+        _accum(x, g * (1.0 - y * y))
+    return _make(y, (x,), back)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at x == 0 (np.sign convention)."""
-    out = _make(np.abs(x.data), (x,))
-    if out._tracked():
-        def back(g, x=x):
-            _accum(x, g * np.sign(x.data))
-        out._backward = back
-    return out
+    def back(g):
+        _accum(x, g * np.sign(x.data))
+    return _make(np.abs(x.data), (x,), back)
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-    out = _make(np.where(pos, x.data, LEAKY_ALPHA * x.data), (x,))
-    if out._tracked():
-        def back(g, x=x, pos=pos):
-            _accum(x, g * np.where(pos, 1.0, LEAKY_ALPHA).astype(x.data.dtype))
-        out._backward = back
-    return out
+    """prelu with every channel's slope fixed at LEAKY_ALPHA."""
+    return prelu(x, Tensor(np.full(x.data.shape[-1], LEAKY_ALPHA, x.data.dtype)))
 
 
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
@@ -277,14 +248,13 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"prelu slopes {slopes.data.shape} do not match channels {x.data.shape[-1]}")
     pos = x.data > 0
-    out = _make(np.where(pos, x.data, slopes.data * x.data), (x, slopes))
-    if out._tracked():
-        def back(g, x=x, slopes=slopes, pos=pos):
-            _accum(x, g * np.where(pos, 1.0, slopes.data))
+
+    def back(g):
+        _accum(x, g * np.where(pos, 1.0, slopes.data))
+        if slopes.requires_grad:
             neg_part = np.where(pos, 0.0, x.data) * g
             _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))))
-        out._backward = back
-    return out
+    return _make(np.where(pos, x.data, slopes.data * x.data), (x, slopes), back)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +267,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"concat_channels leading dims differ: {a.data.shape} vs {b.data.shape}")
     ca = a.data.shape[-1]
-    out = _make(np.concatenate([a.data, b.data], axis=-1), (a, b))
-    if out._tracked():
-        def back(g, a=a, b=b, ca=ca):
-            _accum(a, g[..., :ca])
-            _accum(b, g[..., ca:])
-        out._backward = back
-    return out
+
+    def back(g):
+        _accum(a, g[..., :ca])
+        _accum(b, g[..., ca:])
+    return _make(np.concatenate([a.data, b.data], axis=-1), (a, b), back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -314,16 +282,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = x.data @ w.data
     if b is not None:
         y = y + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    out = _make(y, parents)
-    if out._tracked():
-        def back(g, x=x, w=w, b=b):
-            _accum(x, g @ w.data.T)
-            _accum(w, x.data.T @ g)
-            if b is not None:
-                _accum(b, g.sum(axis=0))
-        out._backward = back
-    return out
+
+    def back(g):
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        if b is not None:
+            _accum(b, g.sum(axis=0))
+    return _make(y, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +421,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
     if b is not None:
         y += b.data
 
-    parents = (x, w) if b is None else (x, w, b)
-    out = _make(y, parents)
-    if out._tracked():
-        def back(g, x=x, w=w, b=b, xp=xp, stride=stride, pad_left=pad_left, length=length):
-            if b is not None:
-                _accum(b, g.sum(axis=(0, 1)))
-            if w.requires_grad:
-                _accum(w, _tap_grad(xp, g, w.data, stride))
-            if x.requires_grad:
-                gxp = _scatter(g, w.data, stride, xp.shape[1], xp.dtype)
-                _accum(x, gxp[:, pad_left:pad_left + length])
-        out._backward = back
-    return out
+    def back(g):
+        if b is not None:
+            _accum(b, g.sum(axis=(0, 1)))
+        if w.requires_grad:
+            _accum(w, _tap_grad(xp, g, w.data, stride))
+        if x.requires_grad:
+            gxp = _scatter(g, w.data, stride, xp.shape[1], xp.dtype)
+            _accum(x, gxp[:, pad_left:pad_left + length])
+    return _make(y, (x, w, b), back)
 
 
 def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Tensor:
@@ -485,19 +446,15 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     res = op[:, pad_left:pad_left + out_len]
     res = res + b.data if b is not None else res.copy()
 
-    parents = (y, w) if b is None else (y, w, b)
-    out = _make(res, parents)
-    if out._tracked():
-        def back(g, y=y, w=w, b=b, stride=stride, pad_total=pad_total, pad_left=pad_left):
-            if b is not None:
-                _accum(b, g.sum(axis=(0, 1)))
-            gp = _pad(g, pad_total, pad_left)
-            if w.requires_grad:
-                _accum(w, _tap_grad(gp, y.data, w.data, stride))
-            if y.requires_grad:
-                _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype))
-        out._backward = back
-    return out
+    def back(g):
+        if b is not None:
+            _accum(b, g.sum(axis=(0, 1)))
+        gp = _pad(g, pad_total, pad_left)
+        if w.requires_grad:
+            _accum(w, _tap_grad(gp, y.data, w.data, stride))
+        if y.requires_grad:
+            _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype))
+    return _make(res, (y, w, b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,15 @@ def load_ratings(path) -> list[Rating]:
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected header listener,sentence,system,score")
         for rec in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in rec or None in rec.values():   # a row longer or shorter than the header
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields, as in the header")
+            try:
+                score = int(rec["score"])
+            except ValueError:
+                raise ValueError(f"{where}: score {rec['score']!r} is not an integer") from None
             rows.append(Rating(rec["listener"].strip(), rec["sentence"].strip(),
-                               rec["system"].strip(), int(rec["score"])))
+                               rec["system"].strip(), score))
     return rows
 
 

@@ -267,18 +267,32 @@ def _cfg_tensors(cfg: GeneratorConfig) -> dict[str, np.ndarray]:
             for f in fields(GeneratorConfig)}
 
 
+# save_checkpoint stores integers as float32, exact up to 2**24 in magnitude
+_FLOAT32_EXACT = 1 << 24
+
+
+def _stored_ints(t: dict[str, np.ndarray], name: str, path, scalar: bool) -> tuple[int, ...]:
+    """The integers tensor `name` holds: one when `scalar`, else at least one."""
+    if name not in t:
+        raise CorruptCheckpointError(f"{path}: missing tensor {name}")
+    v = t[name].reshape(-1)
+    if v.size == 0 or (scalar and v.size != 1):
+        raise CorruptCheckpointError(
+            f"{path}: tensor {name} holds {v.size} values, expected "
+            f"{'1' if scalar else 'at least 1'}")
+    ok = np.isfinite(v) & (v == np.round(v)) & (np.abs(v) <= _FLOAT32_EXACT)
+    if not ok.all():
+        raise CorruptCheckpointError(
+            f"{path}: tensor {name} holds {v[~ok][0]}, expected an integer of "
+            f"magnitude at most 2**24")
+    return tuple(int(x) for x in v)
+
+
 def _cfg_from_tensors(t: dict[str, np.ndarray], path) -> GeneratorConfig:
     values = {}
     for f in fields(GeneratorConfig):
-        name = f"cfg.{f.name}"
-        if name not in t:
-            raise CorruptCheckpointError(f"{path}: missing tensor {name}")
-        ints = tuple(int(round(float(v))) for v in t[name])
         scalar = not isinstance(f.default, tuple)
-        if not ints or (scalar and len(ints) != 1):
-            raise CorruptCheckpointError(
-                f"{path}: tensor {name} holds {len(ints)} values, expected "
-                f"{'1' if scalar else 'at least 1'}")
+        ints = _stored_ints(t, f"cfg.{f.name}", path, scalar)
         values[f.name] = ints[0] if scalar else ints
     return GeneratorConfig(**values)
 
@@ -333,9 +347,10 @@ def load_checkpoint(path, discriminator: bool = True
     disc = None
     if any(name.startswith("d.") for name in stored):
         disc = _discriminator(cfg, make if discriminator else check)
-        if "d.n_ref" not in stored:
-            raise CorruptCheckpointError(f"{path}: missing tensor d.n_ref")
-        disc.n_ref = int(round(float(stored["d.n_ref"][0])))
+        disc.n_ref = _stored_ints(stored, "d.n_ref", path, scalar=True)[0]
+        if disc.n_ref < 1:
+            raise CorruptCheckpointError(
+                f"{path}: tensor d.n_ref holds {disc.n_ref}, expected at least 1")
         consumed.add("d.n_ref")
         disc.ref_mean, disc.ref_var = [], []
         for i, ch in enumerate(cfg.enc_channels, start=1):

@@ -29,8 +29,6 @@ class RMSprop:
     def step(self) -> None:
         for p, c in zip(self.params, self.cache):
             g = p.grad
-            if g is None:
-                continue
             c *= RHO
             c += (1.0 - RHO) * g * g
             p.data -= (self.lr * g / (np.sqrt(c) + EPS)).astype(p.data.dtype, copy=False)

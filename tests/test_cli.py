@@ -313,6 +313,14 @@ def test_mos_bad_header(tmp_path, capsys):
     assert main(["mos", "--ratings", str(csv)]) == 2
 
 
+@pytest.mark.parametrize("row", ["l1,s1,segan\n", "l1,s1,segan,four\n"])
+def test_mos_bad_row(tmp_path, capsys, row):
+    csv = tmp_path / "r.csv"
+    csv.write_text("listener,sentence,system,score\nl1,s1,noisy,2\n" + row)
+    assert main(["mos", "--ratings", str(csv)]) == 2
+    assert f"error: {csv} line 3: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 

@@ -1,5 +1,8 @@
 """Autodiff engine: forward fixtures, brute-force oracles, gradient routing."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +12,7 @@ from helpers import conv1d_oracle, conv1d_transpose_oracle, conv1d_weight_grad_o
 from segan import engine as eg
 from segan.engine import Parameter, Tensor, backward, no_grad, sample_z
 from segan.errors import NonScalarLossError, ShapeMismatchError
+from segan.gradcheck import OP_CASES
 
 
 def _p(name, data):
@@ -39,6 +43,17 @@ def test_tanh_fixtures():
 def test_leaky_relu_fixture():
     y = eg.leaky_relu(Tensor([-1.0, 0.0, 2.0]))
     assert np.allclose(y.data, [-0.3, 0.0, 2.0])
+    # float32, signed zeros included: bit-equal to the closed forms
+    data = np.array([[[-2.5, 0.0], [-0.0, 1.25], [3.0, -1e-30]]], np.float32)
+    x = Parameter("x", data)
+    g = np.random.default_rng(0).uniform(0.5, 1.5, data.shape).astype(np.float32)
+    y = eg.leaky_relu(x)
+    backward(eg.mul(y, Tensor(g)).sum())
+    want_y = np.where(data > 0, data, eg.LEAKY_ALPHA * data)
+    want_g = g * np.where(data > 0, 1.0, eg.LEAKY_ALPHA).astype(np.float32)
+    assert y.dtype == x.grad.dtype == np.float32
+    assert y.data.tobytes() == want_y.tobytes()
+    assert x.grad.tobytes() == want_g.tobytes()
 
 
 def test_prelu_relu_and_identity_limits():
@@ -446,11 +461,45 @@ def test_unused_parameter_reports_zero_gradient():
 
 
 def test_no_grad_blocks_graph_recording():
-    x = _p("x", [1.0, 2.0])
-    with no_grad():
-        y = eg.mul(x, x)
-    assert not y.requires_grad
-    assert y._parents == ()
+    # every op case, under no_grad and with no parameter requiring grad
+    for name, case in OP_CASES.items():
+        build_loss, params = case(np.random.default_rng(0))
+        with no_grad():
+            losses = [build_loss()]
+        for p in params:
+            p.requires_grad = False
+        losses.append(build_loss())
+        for loss in losses:
+            assert not loss.requires_grad, name
+            assert loss._parents == () and loss._backward is None, name
+
+
+def test_graph_nodes_are_recorded_only_in_make():
+    # every op's backward passes through _make, the one hook point
+    writers, scope = set(), []
+
+    class Scan(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr in ("_parents", "_backward") and not isinstance(node.ctx, ast.Load):
+                writers.add(".".join(scope))
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            if (isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr")
+                    and any(isinstance(a, ast.Constant) and a.value in ("_parents", "_backward")
+                            for a in node.args)):
+                writers.add(".".join(scope))
+            self.generic_visit(node)
+
+    Scan().visit(ast.parse(Path(eg.__file__).read_text()))
+    assert writers == {"_make", "Tensor.__init__"}
 
 
 def test_detach_cuts_gradient_flow():

@@ -1,5 +1,7 @@
 """Objective metrics and listening-score arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,18 @@ def test_load_ratings_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("who,what,score\nl,s,3\n")
     with pytest.raises(ValueError, match="expected header"):
+        load_ratings(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("l1,s1,segan\n", "line 3: expected 4 fields"),
+    ("l1,s1,segan,4,5\n", "line 3: expected 4 fields"),
+    ("l1,s1,segan,4.5\n", "line 3: score '4.5' is not an integer"),
+])
+def test_load_ratings_names_the_bad_line(tmp_path, row, message):
+    path = tmp_path / "r.csv"
+    path.write_text("listener,sentence,system,score\nl1,s1,noisy,2\n" + row)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path} {message}")):
         load_ratings(path)
 
 

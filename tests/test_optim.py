@@ -64,14 +64,6 @@ def test_multiple_params_independent_state():
     assert float(b.data[0]) == 0.0
 
 
-def test_skips_params_with_unallocated_grad():
-    p = Parameter("p", np.array([1.0]))
-    p.grad = None
-    opt = RMSprop([p])
-    opt.step()
-    assert float(p.data[0]) == 1.0
-
-
 def test_zero_grad_clears_buffers():
     p = Parameter("p", np.array([1.0]))
     p.grad[:] = 5.0

@@ -494,6 +494,13 @@ D_EDITS = {
     "empty_cfg": {"cfg.window": np.zeros(0, np.float32)},
     "long_cfg": {"cfg.stride": np.array([2, 2], np.float32)},
     "empty_cfg_tuple": {"cfg.enc_channels": np.zeros(0, np.float32)},
+    "nan_cfg": {"cfg.window": np.array([np.nan], np.float32)},
+    "fractional_cfg": {"cfg.window": np.array([1024.4], np.float32)},
+    "inexact_cfg": {"cfg.window": np.array([2.0 ** 25], np.float32)},
+    "infinite_cfg_tuple": {"cfg.enc_channels": np.array([4, np.inf], np.float32)},
+    "empty_n_ref": {"d.n_ref": np.zeros(0, np.float32)},
+    "zero_n_ref": {"d.n_ref": np.zeros(1, np.float32)},
+    "fractional_n_ref": {"d.n_ref": np.array([3.5], np.float32)},
 }
 
 
