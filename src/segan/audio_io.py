@@ -1,22 +1,30 @@
 """WAV I/O, 48 kHz -> 16 kHz resampling, pre/deemphasis, and windowing.
 
-Everything here is a pure function on `Waveform` values. Signals are mono
-float arrays, nominal range [-1, 1].
+The filters and windowing are pure functions on `Waveform` values. Signals
+are mono float arrays, nominal range [-1, 1]. `WavReader`, `decimate_blocks`
+and `wav_writer` carry a file through in blocks, so a caller that keeps
+filter state across blocks never holds the whole signal.
 """
 
 from __future__ import annotations
 
 import wave
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
 SAMPLE_RATE = 16000     # the rate every model, baseline and metric runs at
 RATE_48K = 48000        # the one other input rate, decimated by 3 on the way in
 PREEMPH = 0.95          # first-order preemphasis coefficient
 _DEEMPH_BLOCK = 1 << 14  # deemphasis samples per list: 16k ran faster than 4k, 64k or one list
+_TAPS = 127             # length of the 48 kHz -> 16 kHz decimation filter
+_DELAY = (_TAPS - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -42,22 +50,83 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
-def read_wav(path) -> Waveform:
-    """Read a mono 16-bit PCM WAV; samples scaled by 1/32768 into [-1, 1)."""
-    try:
-        with wave.open(str(path), "rb") as fh:
+class WavReader:
+    """A mono 16-bit PCM WAV open for reading from start to end, samples
+    scaled by 1/32768 into [-1, 1). A header that claims more frames than
+    the file holds is read as far as the file goes."""
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._fh = fh = wave.open(str(path), "rb")
+        except wave.Error as exc:
+            raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+        try:
             if fh.getnchannels() != 1:
                 raise UnsupportedFormatError(f"{path}: expected mono, got {fh.getnchannels()} channels")
             if fh.getsampwidth() != 2:
                 raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
             if fh.getcomptype() != "NONE":
                 raise UnsupportedFormatError(f"{path}: compressed WAV ({fh.getcomptype()}) not supported")
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-    except wave.Error as exc:
-        raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, rate)
+        except UnsupportedFormatError:
+            fh.close()
+            raise
+        self.rate = fh.getframerate()
+        self.frames = fh.getnframes()
+        self._left = self.frames
+
+    def __enter__(self) -> WavReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def read(self, n: int) -> np.ndarray:
+        """The next at most n samples; empty at the end."""
+        raw = self._fh.readframes(min(n, self._left))
+        self._left -= len(raw) // 2
+        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+
+    def _blocks(self, n: int) -> Iterator[np.ndarray]:
+        while (x := self.read(n)).size:
+            yield x
+
+    def blocks(self, n: int) -> Iterator[np.ndarray]:
+        """The signal at 16 kHz in blocks of n samples, the last shorter:
+        16 kHz as read, 48 kHz through `decimate_blocks`."""
+        if self.rate == SAMPLE_RATE:
+            return self._blocks(n)
+        if self.rate == RATE_48K:
+            return _regroup(decimate_blocks(self._blocks(3 * n)), n)
+        raise WrongRateError(f"{self.path}: expected 16 or 48 kHz, got {self.rate}")
+
+
+def read_wav(path) -> Waveform:
+    """Read a mono 16-bit PCM WAV; samples scaled by 1/32768 into [-1, 1)."""
+    with WavReader(path) as r:
+        return Waveform(r.read(r.frames), r.rate)
+
+
+def _pcm(samples: np.ndarray) -> np.ndarray:
+    x = np.clip(samples, -1.0, 1.0)
+    return np.clip(np.round(x * 32768.0), -32767, 32767).astype("<i2")
+
+
+@contextmanager
+def wav_writer(path, rate: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write mono 16-bit PCM block by block: yields a function that
+    appends samples, quantized as `write_wav` quantizes them. The file is
+    written beside `path` and renamed over it when the block ends without
+    an exception (see `atomic.replacing`)."""
+    with replacing(path) as fh:
+        wav = wave.open(fh, "wb")
+        try:
+            wav.setnchannels(1)
+            wav.setsampwidth(2)
+            wav.setframerate(rate)
+            yield lambda samples: wav.writeframes(_pcm(samples))
+        finally:
+            wav.close()
 
 
 def write_wav(w: Waveform, path) -> None:
@@ -65,13 +134,8 @@ def write_wav(w: Waveform, path) -> None:
     quantized as round(x * 32768) clamped to [-32767, 32767], so values a
     reader produced (k / 32768) come back bit-exact.
     """
-    x = np.clip(w.samples, -1.0, 1.0)
-    pcm = np.clip(np.round(x * 32768.0), -32767, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(w.sample_rate)
-        fh.writeframes(pcm.tobytes())
+    with wav_writer(path, w.sample_rate) as write:
+        write(w.samples)
 
 
 def _design_lowpass(num_taps: int, cutoff_hz: float, rate: int) -> np.ndarray:
@@ -82,20 +146,46 @@ def _design_lowpass(num_taps: int, cutoff_hz: float, rate: int) -> np.ndarray:
     return h / h.sum()
 
 
-def resample_48k_to_16k(w: Waveform) -> Waveform:
-    """Anti-aliased decimation by 3: 127-tap FIR at cutoff 0.45 * 16 kHz,
-    then take every third sample at the filter's group delay. Output length
-    is ceil(len / 3).
+def decimate_blocks(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """48 kHz -> 16 kHz over successive blocks of one signal: anti-aliased
+    decimation by 3, a 127-tap FIR at cutoff 0.45 * 16 kHz sampled every
+    third sample at the filter's group delay, ceil(len / 3) outputs in all.
+
+    Each output equals, bit for bit, the same sample of one np.convolve
+    over the whole signal. Every convolve here runs over at least _TAPS
+    samples or over the whole signal (np.convolve swaps a shorter signal
+    with the taps, which sums in another order), and keeps enough history
+    that each output it yields has all its input samples on both sides.
     """
-    if w.sample_rate != RATE_48K:
-        raise WrongRateError(f"resampler expects {RATE_48K} Hz input, got {w.sample_rate}")
-    if len(w) == 0:
-        return Waveform(w.samples, SAMPLE_RATE)
-    taps = _design_lowpass(127, 0.45 * SAMPLE_RATE, RATE_48K)
-    delay = (len(taps) - 1) // 2
-    full = np.convolve(w.samples, taps, mode="full")
-    out = full[delay:delay + len(w):3]
-    return Waveform(out, SAMPLE_RATE)
+    taps = _design_lowpass(_TAPS, 0.45 * SAMPLE_RATE, RATE_48K)
+    buf, start, done = np.zeros(0), 0, 0    # buf is x[start:start + buf.size]; done outputs yielded
+    for x in chain(blocks, [None]):         # None: the end of the signal
+        if x is not None:
+            buf = np.concatenate([buf, x])
+            if buf.size < _TAPS:
+                continue
+        end = start + buf.size
+        # output m reads x[3m - _DELAY : 3m + _DELAY + 1]
+        stop = -(-end // 3) if x is None else max(done, (end - _DELAY + 2) // 3)
+        if stop > done:
+            yield np.convolve(buf, taps)[_DELAY + 3 * done - start:_DELAY + 3 * stop - start:3]
+            # history for the next output, plus _TAPS so the last convolve is long enough
+            keep = min(end, max(0, 3 * stop - _DELAY - _TAPS))
+            buf, start, done = buf[keep - start:], keep, stop
+
+
+def _regroup(blocks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """The concatenation of `blocks` in blocks of n samples, the last shorter."""
+    pending, size = [], 0
+    for x in blocks:
+        pending.append(x)
+        size += x.size
+        while size >= n:
+            joined = np.concatenate(pending)
+            yield joined[:n]
+            pending, size = [joined[n:]], size - n
+    if size:
+        yield np.concatenate(pending)
 
 
 def preemphasis(w: Waveform) -> Waveform:

@@ -527,7 +527,9 @@ def backward(loss: Tensor) -> None:
 
 
 def sample_z(batch: int, length: int, channels: int,
-             seed: int = 0, dtype=np.float32) -> Tensor:
-    """Standard-normal latent block (batch, length, channels); seed-deterministic."""
+             seed: int | np.random.Generator = 0, dtype=np.float32) -> Tensor:
+    """Standard-normal latent block (batch, length, channels); seed-deterministic.
+    A Generator as `seed` is drawn from in place, so successive blocks from
+    one Generator equal one block drawn whole."""
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal((batch, length, channels)).astype(dtype))

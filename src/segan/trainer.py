@@ -19,19 +19,18 @@ import numpy as np
 
 from . import engine as eg
 from .audio_io import (
-    RATE_48K,
     SAMPLE_RATE,
+    WavReader,
+    Waveform,
     chunk,
     deemphasis,
     preemphasis,
-    read_wav,
     reassemble,
-    resample_48k_to_16k,
-    write_wav,
+    wav_writer,
 )
 from .dataset import TrainingPair
 from .engine import Tensor, backward, no_grad, sample_z
-from .errors import ConfigError, NonFiniteLossError, WrongRateError
+from .errors import ConfigError, NonFiniteLossError
 from .model import (
     Discriminator,
     Generator,
@@ -244,29 +243,31 @@ def enhance_file(checkpoint_path, in_path, out_path,
     through the generator, reassembly, deemphasis, write. 48 kHz input is
     resampled; output duration equals input duration.
 
-    Windows go through the generator ENHANCE_BATCH at a time, so the live
-    activations are bounded whatever the file length; z is drawn for the
-    whole file and sliced, so the output does not depend on the batching.
+    The file streams through in blocks of ENHANCE_BATCH windows, one
+    generator call each, so no array grows with the file. Each filter
+    carries its last sample across blocks and z comes from one generator
+    per file, so the output does not depend on the blocking. The output is
+    renamed into place when complete: out_path may be in_path, and a
+    failure leaves no partial file.
     """
     if z_mode not in Z_MODES:
         raise ConfigError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
     gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
-    w = read_wav(in_path)
-    if w.sample_rate == RATE_48K:
-        w = resample_48k_to_16k(w)
-    elif w.sample_rate != SAMPLE_RATE:
-        raise WrongRateError(f"{in_path}: expected 16 or 48 kHz, got {w.sample_rate}")
-    pre = preemphasis(w)
-    windows, pad = chunk(pre, mcfg.window, mcfg.window)
-    n = windows.shape[0]
-    if z_mode == "zero":
-        z = np.zeros((n, mcfg.bottleneck_len, mcfg.z_channels), dtype=np.float32)
-    else:
-        z = sample_z(n, mcfg.bottleneck_len, mcfg.z_channels, seed=z_seed).data
-    out = np.empty((n, mcfg.window))
-    with no_grad():
-        for lo in range(0, n, ENHANCE_BATCH):
-            hi = lo + ENHANCE_BATCH
-            g = g_forward(gen, windows[lo:hi].astype(np.float32)[..., None], Tensor(z[lo:hi]))
-            out[lo:hi] = g.data[:, :, 0]
-    write_wav(deemphasis(reassemble(out, pad)), out_path)
+    rng = np.random.default_rng(z_seed)
+    z_shape = (mcfg.bottleneck_len, mcfg.z_channels)
+    x_last = y_last = 0.0   # last input and output samples so far: the emphasis filters' state
+    with WavReader(in_path) as src:
+        blocks = src.blocks(ENHANCE_BATCH * mcfg.window)
+        with wav_writer(out_path, SAMPLE_RATE) as write, no_grad():
+            for x in blocks:
+                pre = preemphasis(Waveform(np.concatenate([[x_last], x]), SAMPLE_RATE))
+                windows, pad = chunk(Waveform(pre.samples[1:], SAMPLE_RATE),
+                                     mcfg.window, mcfg.window)
+                n = windows.shape[0]
+                z = (np.zeros((n, *z_shape), dtype=np.float32) if z_mode == "zero"
+                     else sample_z(n, *z_shape, seed=rng).data)
+                g = g_forward(gen, windows.astype(np.float32)[..., None], Tensor(z))
+                y = reassemble(g.data[:, :, 0], pad).samples
+                out = deemphasis(Waveform(np.concatenate([[y_last], y]), SAMPLE_RATE)).samples[1:]
+                write(out)
+                x_last, y_last = x[-1], out[-1]

@@ -8,7 +8,9 @@ convolution oracles are plain nested loops.
 from __future__ import annotations
 
 import hashlib
+import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +103,74 @@ def conv1d_weight_grad_oracle(x, g, width, stride):
                         acc += xp[bi, o * stride + k, ci] * g[bi, o, co]
                 gw[k, ci, co] = acc
     return gw
+
+
+def archive_bytes(entries, version=2, count=None):
+    """A tensor archive built by hand from (name bytes, shape, payload bytes
+    or None) entries: "SGN<version>", the tensor count (`count` overrides
+    it), then per entry its name, rank and dims, and, unless the payload is
+    None, the payload; SGN2 pads each payload to a 64-byte file offset."""
+    blob = bytearray(b"SGN%d" % version + struct.pack("<I", len(entries) if count is None else count))
+    for name, shape, payload in entries:
+        blob += struct.pack(f"<H{len(name)}sB{len(shape)}I", len(name), name, len(shape), *shape)
+        if payload is not None:
+            blob += bytes(-len(blob) % 64 if version == 2 else 0) + payload
+    return bytes(blob)
+
+
+def save_sgn1(path, tensors):
+    """Write `tensors` in the SGN1 layout (SGN2 without the padding), sorted by name."""
+    entries = []
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name], dtype="<f4")
+        entries.append((name.encode("utf-8"), arr.shape, arr.tobytes()))
+    Path(path).write_bytes(archive_bytes(entries, version=1))
+
+
+def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_seed=0):
+    """Whole-file enhancement, the oracle for the package's streamed
+    `enhance_file`: the input read whole (48 kHz through
+    `resample_48k_to_16k`), preemphasized and windowed whole, z drawn for
+    every window at once, the generator run ENHANCE_BATCH windows at a time,
+    and the output reassembled and deemphasized whole."""
+    from segan.audio_io import chunk, deemphasis, preemphasis, read_wav, reassemble, write_wav
+    from segan.engine import Tensor, no_grad, sample_z
+    from segan.model import g_forward, load_checkpoint
+    from segan.trainer import ENHANCE_BATCH
+    gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
+    w = read_wav(in_path)
+    if w.sample_rate == 48000:
+        w = resample_48k_to_16k(w)
+    windows, pad = chunk(preemphasis(w), mcfg.window, mcfg.window)
+    n = windows.shape[0]
+    if z_mode == "zero":
+        z = np.zeros((n, mcfg.bottleneck_len, mcfg.z_channels), dtype=np.float32)
+    else:
+        z = sample_z(n, mcfg.bottleneck_len, mcfg.z_channels, seed=z_seed).data
+    out = np.empty((n, mcfg.window))
+    with no_grad():
+        for lo in range(0, n, ENHANCE_BATCH):
+            hi = lo + ENHANCE_BATCH
+            g = g_forward(gen, windows[lo:hi].astype(np.float32)[..., None], Tensor(z[lo:hi]))
+            out[lo:hi] = g.data[:, :, 0]
+    write_wav(deemphasis(reassemble(out, pad)), out_path)
+
+
+def resample_48k_to_16k(w):
+    """Whole-signal 48 kHz -> 16 kHz decimation, the oracle for the package's
+    block-wise `decimate_blocks`: one np.convolve with the package's 127-tap
+    filter over the whole signal, then every third sample at the filter's
+    group delay."""
+    from segan.audio_io import RATE_48K, SAMPLE_RATE, Waveform, _design_lowpass
+    from segan.errors import WrongRateError
+    if w.sample_rate != RATE_48K:
+        raise WrongRateError(f"resampler expects {RATE_48K} Hz input, got {w.sample_rate}")
+    if len(w) == 0:
+        return Waveform(w.samples, SAMPLE_RATE)
+    taps = _design_lowpass(127, 0.45 * SAMPLE_RATE, RATE_48K)
+    delay = (len(taps) - 1) // 2
+    full = np.convolve(w.samples, taps, mode="full")
+    return Waveform(full[delay:delay + len(w):3], SAMPLE_RATE)
 
 
 def params_digest(params):

@@ -1,14 +1,16 @@
 """WAV I/O, resampling, emphasis filters, and windowing."""
 
+import os
+
 import numpy as np
 import pytest
 
-from segan.audio_io import (_DEEMPH_BLOCK, PREEMPH, Waveform, chunk, deemphasis,
-                            preemphasis, read_wav, reassemble,
-                            resample_48k_to_16k, write_wav)
+from segan.audio_io import (_DEEMPH_BLOCK, PREEMPH, Waveform, WavReader, chunk,
+                            decimate_blocks, deemphasis, preemphasis, read_wav,
+                            reassemble, wav_writer, write_wav)
 from segan.errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
 
-from helpers import emphasis_oracle, read_raw_pcm, tone, write_raw_wav
+from helpers import emphasis_oracle, read_raw_pcm, resample_48k_to_16k, tone, write_raw_wav
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +115,23 @@ def _interior(x, margin=64):
     return x[margin:-margin]
 
 
+def _resample(w):
+    """The 16 kHz samples decimate_blocks makes of a 48 kHz Waveform given whole."""
+    assert w.sample_rate == 48000
+    return np.concatenate([np.zeros(0), *decimate_blocks([w.samples])])
+
+
 def test_resample_dc_gain():
     w = Waveform(np.ones(4800), 48000)
-    out = resample_48k_to_16k(w)
-    assert out.sample_rate == 16000
+    out = _resample(w)
     assert len(out) == 1600
-    assert np.all(np.abs(_interior(out.samples) - 1.0) < 1e-3)
+    assert np.all(np.abs(_interior(out) - 1.0) < 1e-3)
 
 
 def test_resample_1khz_amplitude():
     n = 48000
     w = Waveform(tone(1000.0, n, rate=48000), 48000)
-    out = resample_48k_to_16k(w).samples
+    out = _resample(w)
     expected = tone(1000.0, len(out), rate=16000)
     ratio = (np.sqrt(np.mean(_interior(out) ** 2))
              / np.sqrt(np.mean(_interior(expected) ** 2)))
@@ -137,20 +144,99 @@ def test_resample_1khz_amplitude():
 
 def test_resample_rejects_20khz():
     w = Waveform(tone(20000.0, 48000, rate=48000), 48000)
-    out = resample_48k_to_16k(w).samples
+    out = _resample(w)
     # 20 kHz sits far above the new Nyquist; at least 40 dB must go
     assert np.sqrt(np.mean(_interior(out) ** 2)) < 0.01 * (0.5 / np.sqrt(2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102])
 def test_resample_length_is_ceil_n_over_3(n):
-    out = resample_48k_to_16k(Waveform(np.zeros(n), 48000))
+    out = _resample(Waveform(np.zeros(n), 48000))
     assert len(out) == -(-n // 3)
 
 
-def test_resample_wrong_rate():
-    with pytest.raises(WrongRateError):
-        resample_48k_to_16k(Waveform(np.zeros(10), 16000))
+def test_resample_wrong_rate(tmp_path):
+    # only 16 and 48 kHz files have a 16 kHz block stream
+    path = tmp_path / "in22.wav"
+    write_raw_wav(path, np.zeros(10), rate=22050)
+    with WavReader(path) as r, pytest.raises(WrongRateError, match="expected 16 or 48 kHz"):
+        r.blocks(4)
+
+
+@pytest.mark.parametrize("block", [1, 2, 43, 127, 1000])
+def test_decimate_blocks_match_the_whole_signal(block):
+    # np.convolve over blocks, with the history decimate_blocks keeps,
+    # gives the whole-signal convolution's samples bit for bit
+    rng = np.random.default_rng(block)
+    for n in [*range(0, 260), 1000, 3001]:
+        x = rng.uniform(-1, 1, n)
+        got = np.concatenate(
+            [np.zeros(0), *decimate_blocks(x[i:i + block] for i in range(0, n, block))])
+        want = resample_48k_to_16k(Waveform(x, 48000)).samples
+        assert got.tobytes() == want.tobytes(), (n, block)
+
+
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_reader_blocks_are_the_whole_signal_in_order(tmp_path, rate):
+    pcm = np.random.default_rng(rate).integers(-32767, 32768, 5000)
+    path = tmp_path / "in.wav"
+    write_raw_wav(path, pcm, rate=rate)
+    w = read_wav(path)
+    whole = w.samples if rate == 16000 else resample_48k_to_16k(w).samples
+    with WavReader(path) as r:
+        blocks = list(r.blocks(300))
+    assert all(b.size == 300 for b in blocks[:-1]) and 0 < blocks[-1].size <= 300
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_header_claiming_more_frames_is_read_as_far_as_the_file_goes(tmp_path):
+    path = tmp_path / "cut.wav"
+    pcm = np.arange(-500, 500) * 30
+    write_raw_wav(path, pcm)
+    path.write_bytes(path.read_bytes()[:-20])           # the last 10 frames
+    assert np.array_equal(read_wav(path).samples, pcm[:-10] / 32768.0)
+    with WavReader(path) as r:
+        assert np.array_equal(np.concatenate(list(r.blocks(64))), pcm[:-10] / 32768.0)
+
+
+def test_writer_appends_blocks_as_one_write(tmp_path):
+    x = np.random.default_rng(2).uniform(-1.2, 1.2, 1001)
+    write_wav(Waveform(x, 16000), tmp_path / "whole.wav")
+    with wav_writer(tmp_path / "blocks.wav", 16000) as write:
+        for lo in range(0, x.size, 100):
+            write(x[lo:lo + 100])
+    assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+
+def test_writer_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.wav"
+    write_wav(Waveform(np.zeros(10), 16000), path)
+    blob = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with wav_writer(path, 16000) as write:
+            write(np.ones(5) * 0.5)
+            raise RuntimeError("stop")
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["out.wav"]
+
+
+def test_write_into_a_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.wav"
+    with pytest.raises(FileNotFoundError) as err:
+        write_wav(Waveform(np.zeros(4), 16000), target)
+    assert err.value.filename == str(target)
+
+
+def test_written_file_has_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_wav(Waveform(np.zeros(4), 16000), tmp_path / "a.wav")
+        assert (tmp_path / "a.wav").stat().st_mode & 0o777 == 0o640
+        os.chmod(tmp_path / "a.wav", 0o604)
+        write_wav(Waveform(np.zeros(4), 16000), tmp_path / "a.wav")
+        assert (tmp_path / "a.wav").stat().st_mode & 0o777 == 0o604
+    finally:
+        os.umask(umask)
 
 
 # ---------------------------------------------------------------------------

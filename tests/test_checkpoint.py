@@ -1,5 +1,7 @@
 """Binary tensor-archive format: round-trips and corruption detection."""
 
+import mmap
+import os
 import struct
 import tracemalloc
 
@@ -8,6 +10,8 @@ import pytest
 
 from segan.checkpoint import MAGIC, load_tensors, save_tensors
 from segan.errors import CorruptCheckpointError
+
+from helpers import archive_bytes, save_sgn1
 
 
 def _sample_tensors():
@@ -67,8 +71,9 @@ def test_header_layout_is_stable(tmp_path):
     path = tmp_path / "one.sgn"
     save_tensors(path, {"ab": np.array([1.0, 2.0], dtype=np.float32)})
     blob = path.read_bytes()
-    expected = (MAGIC + struct.pack("<I", 1) + struct.pack("<H", 2) + b"ab"
+    expected = (b"SGN2" + struct.pack("<I", 1) + struct.pack("<H", 2) + b"ab"
                 + struct.pack("<B", 1) + struct.pack("<I", 2)
+                + bytes(64 - 17)              # zero padding to the 64-byte offset
                 + np.array([1.0, 2.0], dtype="<f4").tobytes())
     assert blob == expected
 
@@ -101,10 +106,9 @@ def test_huge_declared_shape_is_truncation_not_allocation(tmp_path):
 
 
 def test_duplicate_names_rejected(tmp_path):
-    entry = (struct.pack("<H", 1) + b"x" + struct.pack("<B", 1)
-             + struct.pack("<I", 1) + np.array([1.0], dtype="<f4").tobytes())
+    entry = (b"x", (1,), np.array([1.0], dtype="<f4").tobytes())
     path = tmp_path / "dup.sgn"
-    path.write_bytes(MAGIC + struct.pack("<I", 2) + entry + entry)
+    path.write_bytes(archive_bytes([entry, entry]))
     with pytest.raises(CorruptCheckpointError, match="duplicate"):
         load_tensors(path)
 
@@ -175,3 +179,134 @@ def test_skipped_payloads_keep_shape_and_checks(tmp_path):
     (tmp_path / "trail.sgn").write_bytes(blob + b"\x00")
     with pytest.raises(CorruptCheckpointError, match="trailing"):
         load_tensors(tmp_path / "trail.sgn", skip=_skip_b)
+
+
+# ---------------------------------------------------------------------------
+# SGN2: aligned payloads mapped copy-on-write
+
+def _owner(arr):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_payloads_are_aligned_writable_views_of_one_mapping(tmp_path):
+    path = tmp_path / "model.sgn"
+    tensors = _sample_tensors()
+    save_tensors(path, tensors)
+    blob = path.read_bytes()
+    loaded = load_tensors(path)
+    owners = {id(_owner(arr)) for arr in loaded.values()}
+    mapping = _owner(loaded["alpha"])
+    assert len(owners) == 1 and isinstance(mapping, mmap.mmap)
+    start = np.frombuffer(mapping, np.uint8).ctypes.data
+    for name, arr in loaded.items():
+        assert arr.flags.writeable and arr.flags.aligned
+        offset = arr.ctypes.data - start
+        assert offset % 64 == 0, (name, offset)
+        assert blob[offset:offset + arr.nbytes] == tensors[name].tobytes()
+    loaded["enc1_w"][...] = 7.0            # a private copy: the file never changes
+    assert path.read_bytes() == blob
+    assert np.array_equal(load_tensors(path)["enc1_w"], tensors["enc1_w"])
+
+
+def test_nonzero_padding_rejected(tmp_path):
+    path = tmp_path / "pad.sgn"
+    save_tensors(path, {"ab": np.array([1.0, 2.0], dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    blob[40] = 1                           # inside the padding before ab's payload
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpointError, match="nonzero padding at byte 17"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("keep", [0, 3, 4, 8, 17, 40, 63, 64, 70])
+def test_truncation_inside_padding_and_payload(tmp_path, keep):
+    path = tmp_path / "full.sgn"
+    save_tensors(path, {"ab": np.array([1.0, 2.0], dtype=np.float32)})
+    cut = tmp_path / "cut.sgn"
+    cut.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(CorruptCheckpointError, match="truncated"):
+        load_tensors(cut)
+
+
+def test_zero_size_payloads_round_trip(tmp_path):
+    path = tmp_path / "empty.sgn"
+    save_tensors(path, {"a": np.zeros((0, 3), np.float32), "b": np.zeros(0, np.float32)})
+    loaded = load_tensors(path)
+    assert loaded["a"].shape == (0, 3) and loaded["b"].shape == (0,)
+
+
+def test_save_copies_no_payload(tmp_path):
+    # each payload goes from its array straight into the file
+    rng = np.random.default_rng(5)
+    tensors = {f"t{i}": rng.standard_normal((256, 1024)).astype(np.float32) for i in range(8)}
+    payload = sum(a.nbytes for a in tensors.values())
+    tracemalloc.start()
+    try:
+        save_tensors(tmp_path / "big.sgn", tensors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * payload, (peak, payload)
+
+
+def test_save_replaces_by_rename(tmp_path):
+    # a loaded archive keeps its values when its path is saved over, and a
+    # save that fails leaves the old file and no temporary behind
+    path = tmp_path / "model.sgn"
+    save_tensors(path, {"x": np.arange(4, dtype=np.float32)})
+    before = load_tensors(path)
+    save_tensors(path, {"x": before["x"] + 10})
+    assert np.array_equal(before["x"], np.arange(4))
+    assert np.array_equal(load_tensors(path)["x"], np.arange(4) + 10)
+    blob = path.read_bytes()
+    with pytest.raises(ValueError, match="name too long"):
+        save_tensors(path, {"a": np.zeros(3), "x" * 70000: np.zeros(1)})
+    assert path.read_bytes() == blob
+    assert sorted(os.listdir(tmp_path)) == ["model.sgn"]
+
+
+# ---------------------------------------------------------------------------
+# SGN1: the unpadded layout still loads, read into arrays of its own
+
+def test_sgn1_loads_bit_identically(tmp_path):
+    tensors = _sample_tensors()
+    old, new = tmp_path / "old.sgn", tmp_path / "new.sgn"
+    save_sgn1(old, tensors)
+    save_tensors(new, tensors)
+    assert old.read_bytes()[:4] == b"SGN1"
+    a, b = load_tensors(old), load_tensors(new)
+    assert set(a) == set(b) == set(tensors)
+    for name, arr in tensors.items():
+        assert a[name].dtype == np.dtype("<f4") and a[name].shape == arr.shape
+        assert a[name].tobytes() == b[name].tobytes() == arr.tobytes()
+        assert a[name].base is None and a[name].flags.writeable
+
+
+def _sgn1_corruptions():
+    x1 = (b"x", (1,), np.array([1.0], dtype="<f4").tobytes())
+    return {
+        "bad_magic": (b"NOPE" + struct.pack("<I", 0), "bad magic"),
+        "huge_shape": (archive_bytes([(b"x", (2**31, 2**31), None)], version=1), "truncated"),
+        "duplicate": (archive_bytes([x1, x1], version=1), "duplicate"),
+        "undecodable": (archive_bytes([(b"\xff", (), np.float32(1).tobytes())], version=1),
+                        "undecodable"),
+        "trailing": (archive_bytes([x1], version=1) + b"\x00", "trailing"),
+        "missing_entry": (archive_bytes([x1], version=1, count=2), "truncated"),
+        **{f"cut{k}": (archive_bytes([(b"ab", (2,), np.array([1.0, 2.0], "<f4").tobytes())],
+                                     version=1)[:k], "truncated")
+           for k in (4, 9, 13, 16, 20)},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_sgn1_corruptions()))
+def test_sgn1_corruption_checks(tmp_path, case):
+    blob, message = _sgn1_corruptions()[case]
+    path = tmp_path / "bad.sgn"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptCheckpointError, match=message):
+        load_tensors(path)
+    with pytest.raises(CorruptCheckpointError, match=message):
+        load_tensors(path, skip=lambda name: True)

@@ -1,5 +1,7 @@
 """Three-phase training loop, gradient isolation, and file enhancement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from segan.optim import RMSprop
 from segan.trainer import (ENHANCE_BATCH, Z_MODES, TrainConfig, _z_seed_for,
                            enhance_file, train, train_step)
 
-from helpers import emphasis_oracle, params_digest
+from helpers import emphasis_oracle, enhance_whole_file, params_digest, write_raw_wav
 
 TINY = GeneratorConfig(window=64, filter_width=5, enc_channels=(2, 3), z_channels=4)
 
@@ -512,7 +514,8 @@ def test_enhance_rejects_what_load_checkpoint_rejects(tmp_path, corrupt):
     _gd_checkpoint(path)
     blob = path.read_bytes()
     if corrupt == "truncated":
-        path.write_bytes(blob[:blob.index(b"d.conv2.w") + 40])   # inside its payload
+        dims_end = blob.index(b"d.conv2.w") + len(b"d.conv2.w") + 1 + 4 * 3
+        path.write_bytes(blob[:-(-dims_end // 64) * 64 + 40])    # inside its payload
     elif corrupt == "trailing":
         path.write_bytes(blob + b"\x00")
     else:
@@ -531,3 +534,87 @@ def test_enhance_rejects_what_load_checkpoint_rejects(tmp_path, corrupt):
         enhance_file(path, src, tmp_path / "out.wav")
     assert str(enh.value) == str(full.value)
     assert not (tmp_path / "out.wav").exists()
+
+
+def _pcm_wav(path, n, rate, seed):
+    write_raw_wav(path, np.random.default_rng(seed).integers(-20000, 20000, n), rate=rate)
+
+
+BLOCK = ENHANCE_BATCH * TINY.window     # samples per generator call
+
+
+@pytest.mark.parametrize("z_mode", Z_MODES)
+@pytest.mark.parametrize("rate, n", [
+    (16000, 0), (16000, 1), (16000, BLOCK - 1), (16000, BLOCK), (16000, BLOCK + 1),
+    (16000, 2 * BLOCK + 77),
+    (48000, 0), (48000, 1), (48000, 126), (48000, 127), (48000, 128), (48000, 6 * BLOCK + 100),
+])
+def test_enhance_streams_byte_identical_to_the_whole_file(tmp_path, rate, n, z_mode):
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(TINY, seed=8))
+    src = tmp_path / "in.wav"
+    _pcm_wav(src, n, rate, seed=n)
+    enhance_file(ckpt, src, tmp_path / "out.wav", z_mode=z_mode, z_seed=3)
+    enhance_whole_file(ckpt, src, tmp_path / "ref.wav", z_mode=z_mode, z_seed=3)
+    assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
+    assert len(read_wav(tmp_path / "out.wav")) == (n if rate == 16000 else -(-n // 3))
+
+
+def test_enhance_in_place_matches_a_new_path(tmp_path):
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(TINY, seed=8))
+    src, other = tmp_path / "in.wav", tmp_path / "other.wav"
+    _pcm_wav(src, 3 * BLOCK + 5, 48000, seed=1)
+    enhance_file(ckpt, src, other)
+    enhance_file(ckpt, src, src)
+    assert src.read_bytes() == other.read_bytes()
+
+
+def test_enhance_failure_leaves_no_output_and_no_temporary(tmp_path, monkeypatch):
+    import segan.trainer as trainer
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(TINY, seed=8))
+    src, kept = tmp_path / "in.wav", tmp_path / "kept.wav"
+    _pcm_wav(src, 3 * BLOCK, 16000, seed=2)
+    _pcm_wav(kept, 10, 16000, seed=3)
+    blob = kept.read_bytes()
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("generator failed")
+        return g_forward(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "g_forward", failing)
+    for out in (tmp_path / "out.wav", kept):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="generator failed"):
+            enhance_file(ckpt, src, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.sgn", "in.wav", "kept.wav"]
+    assert kept.read_bytes() == blob
+
+
+def _enhance_peak(ckpt, src, out):
+    tracemalloc.start()
+    try:
+        enhance_file(ckpt, src, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enhance_memory_does_not_grow_with_the_file(tmp_path):
+    cfg = GeneratorConfig(window=256, filter_width=5, enc_channels=(2, 3), z_channels=4)
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(cfg, seed=1))
+    short, long = tmp_path / "short.wav", tmp_path / "long.wav"
+    n = 10 * ENHANCE_BATCH * cfg.window
+    _pcm_wav(short, n, 16000, seed=4)
+    _pcm_wav(long, 10 * n, 16000, seed=5)
+    enhance_file(ckpt, long, tmp_path / "warm.wav")
+    short_peak = _enhance_peak(ckpt, short, tmp_path / "a.wav")
+    long_peak = _enhance_peak(ckpt, long, tmp_path / "b.wav")
+    # the long file takes 90 more blocks but not a quarter of one float64
+    # copy of itself (8 * 10 * n bytes) more memory
+    assert long_peak < short_peak + 0.25 * 8 * 10 * n, (short_peak, long_peak)
