@@ -247,14 +247,25 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     if slopes.data.shape != (x.data.shape[-1],):
         raise ShapeMismatchError(
             f"prelu slopes {slopes.data.shape} do not match channels {x.data.shape[-1]}")
-    pos = x.data > 0
+    a = slopes.data
+    # For 0 < a <= 1, max(x, a*x) picks x where x > 0 and a*x elsewhere, and
+    # equal operands carry the same bits. Other slopes keep the np.where form
+    # on their channels: at a == 0, 0 * inf is NaN, and for a < 0 the sign of
+    # a zero result would rest on which operand np.maximum returns on a tie.
+    y = a * x.data
+    np.maximum(x.data, y, out=y)
+    outside = ~((a > 0) & (a <= 1))
+    if outside.any():
+        xo = x.data[..., outside]
+        y[..., outside] = np.where(xo > 0, xo, a[outside] * xo)
 
     def back(g):
-        _accum(x, g * np.where(pos, 1.0, slopes.data))
+        pos = x.data > 0
+        _accum(x, g * np.where(pos, 1.0, a))
         if slopes.requires_grad:
             neg_part = np.where(pos, 0.0, x.data) * g
             _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))))
-    return _make(np.where(pos, x.data, slopes.data * x.data), (x, slopes), back)
+    return _make(y, (x, slopes), back)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +337,13 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
 # channels): conv1d runs long -> short, conv1d_transpose short -> long.
 # Each kernel is one GEMM per block of short positions over im2col columns
 # (Chellapilla et al. 2006): row o holds the width taps of long channels
-# that meet short position o. Blocks hold whole examples when one fits in
-# _BLOCK_BYTES of columns, else runs of positions of one example, so the
-# scratch memory and the summation order depend on shapes alone.
+# that meet short position o. A block's columns may take the larger of
+# _BLOCK_BYTES and the bytes of the layer's own weights, so a layer whose
+# weights outweigh its columns runs as one GEMM and reads each weight once,
+# and the extra scratch never exceeds memory the weights already hold.
+# Blocks hold whole examples when one fits in that bound, else runs of
+# positions of one example, so the scratch memory and the summation order
+# depend on shapes alone.
 
 _BLOCK_BYTES = 2 << 20
 
@@ -347,10 +362,11 @@ def _columns(long: np.ndarray, stride: int, short_len: int, width: int) -> np.nd
         writeable=False)
 
 
-def _blocks(batch: int, rows: int, row_bytes: int) -> list[tuple[slice, slice]]:
+def _blocks(batch: int, rows: int, row_bytes: int, weight_bytes: int) -> list[tuple[slice, slice]]:
     """(examples, positions) slices covering batch x rows, each block at
-    most _BLOCK_BYTES of row_bytes-sized rows (one row at the least)."""
-    per = max(1, _BLOCK_BYTES // row_bytes)
+    most max(_BLOCK_BYTES, weight_bytes) of row_bytes-sized rows (one row at
+    the least)."""
+    per = max(1, max(_BLOCK_BYTES, weight_bytes) // row_bytes)
     if per >= rows:
         n = per // rows
         return [(slice(b, b + n), slice(0, rows)) for b in range(0, batch, n)]
@@ -364,7 +380,7 @@ def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dty
     cols = _columns(long, stride, short_len, width)
     wk = w.reshape(width * c_long, c_short)
     out = np.empty((long.shape[0], short_len, c_short), dtype=dtype)
-    for ex, pos in _blocks(long.shape[0], short_len, width * c_long * long.itemsize):
+    for ex, pos in _blocks(long.shape[0], short_len, width * c_long * long.itemsize, w.nbytes):
         blk = cols[ex, pos]
         out[ex, pos] = (blk.reshape(-1, width * c_long) @ wk).reshape(*blk.shape[:2], c_short)
     return out
@@ -386,7 +402,7 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
     out = np.zeros((batch, rows * stride * c_long), dtype=dtype)
     wk = w.reshape(width * c_long, c_short).T
     step = stride * c_long
-    for ex, pos in _blocks(batch, short_len, width * c_long * short.itemsize):
+    for ex, pos in _blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes):
         blk = short[ex, pos]
         n = blk.shape[1]
         cols = (blk.reshape(-1, c_short) @ wk).reshape(blk.shape[0], n, width * c_long)
@@ -403,7 +419,7 @@ def _tap_grad(long: np.ndarray, short: np.ndarray, w: np.ndarray, stride: int) -
     width, c_long, c_short = w.shape
     cols = _columns(long, stride, short.shape[1], width)
     gw = np.zeros((c_short, width * c_long), dtype=w.dtype)
-    for ex, pos in _blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize):
+    for ex, pos in _blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize, w.nbytes):
         gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
     return gw.T.reshape(width, c_long, c_short)
 

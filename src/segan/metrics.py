@@ -38,6 +38,13 @@ SSNR_CLAMP_DB = (-10.0, 35.0)
 LPC_ORDER = 16
 LLR_FRAME_S = 0.030
 LLR_HOP_S = 0.0075
+LLR_CLAMP = (0.0, 2.0)   # per-frame range, as in Hu & Loizou (2008)
+# White-noise correction: each frame's zero lag is raised by this fraction
+# before the LPC fits, as if white noise 40 dB below the frame were added.
+# The Toeplitz matrix is then positive definite with its smallest eigenvalue
+# at least LLR_WNC * r_0, so the Levinson error of a noise-free harmonic
+# frame stays far above rounding instead of reaching it.
+LLR_WNC = 1e-4
 # the smallest integer rate at which round(LLR_FRAME_S * rate) >= LPC_ORDER + 1
 # and round(LLR_HOP_S * rate) >= 1, under Python's round-half-even
 LLR_MIN_RATE = 551
@@ -113,9 +120,10 @@ def _lag_products(f: np.ndarray, order: int) -> np.ndarray:
 def llr(clean: Waveform, test: Waveform) -> float:
     """Log-likelihood-ratio spectral distance: per Hanning-windowed frame,
     log of the ratio of the test LPC polynomial's residual energy to the
-    clean one's, both measured against the clean autocorrelation; the mean
-    is taken over the smallest 95% of frame values. Near-silent frames are
-    skipped.
+    clean one's, both measured against the clean autocorrelation, clamped
+    to LLR_CLAMP; the mean is taken over the smallest 95% of frame values.
+    Both autocorrelations carry the LLR_WNC white-noise correction.
+    Near-silent frames are skipped.
     """
     x, y = clean.samples, test.samples
     if x.size != y.size:
@@ -148,6 +156,8 @@ def llr(clean: Waveform, test: Waveform) -> float:
         rc, rt = rc[voiced], rt[voiced]
         if not voiced.any():
             continue
+        rc[:, 0] *= 1.0 + LLR_WNC
+        rt[:, 0] *= 1.0 + LLR_WNC
         a_clean, _ = levinson(rc, order)
         a_test, _ = levinson(rt, order)
         weighted = rc * twice
@@ -155,7 +165,7 @@ def llr(clean: Waveform, test: Waveform) -> float:
         den = np.sum(weighted * _lag_products(a_clean, order), axis=-1)
         if np.any((num <= 0.0) | (den <= 0.0)):
             raise NumericalError("nonpositive residual energy in LLR frame")
-        vals.append(np.log(num / den))
+        vals.append(np.clip(np.log(num / den), *LLR_CLAMP))
     if not vals:
         raise AllFramesSilentError("no frames above the energy gate")
     vals = np.sort(np.concatenate(vals))

@@ -203,8 +203,9 @@ def levinson_oracle(r, order):
     return a, err
 
 
-def llr_oracle(x, y, rate, order=16, frame_s=0.030, hop_s=0.0075):
-    """Frame-by-frame LPC log-likelihood ratio, trimmed to the lowest 95%."""
+def llr_oracle(x, y, rate, order=16, frame_s=0.030, hop_s=0.0075, wnc=1e-4, clamp=(0.0, 2.0)):
+    """Frame-by-frame LPC log-likelihood ratio with both zero lags raised by
+    the fraction wnc, each frame clamped, trimmed to the lowest 95%."""
     flen, fhop = round(frame_s * rate), round(hop_s * rate)
     win = np.hanning(flen)
     idx = np.abs(np.arange(order + 1)[:, None] - np.arange(order + 1)[None, :])
@@ -215,10 +216,13 @@ def llr_oracle(x, y, rate, order=16, frame_s=0.030, hop_s=0.0075):
         rt = np.array([np.dot(yf[:flen - k], yf[k:]) for k in range(order + 1)])
         if rc[0] < 1e-10 or rt[0] < 1e-10:
             continue
+        rc[0] *= 1.0 + wnc
+        rt[0] *= 1.0 + wnc
         a_clean, _ = levinson_oracle(rc, order)
         a_test, _ = levinson_oracle(rt, order)
         R = rc[idx]
-        vals.append(np.log(float(a_test @ R @ a_test) / float(a_clean @ R @ a_clean)))
+        ratio = float(a_test @ R @ a_test) / float(a_clean @ R @ a_clean)
+        vals.append(min(max(np.log(ratio), clamp[0]), clamp[1]))
     vals.sort()
     return float(np.mean(vals[:max(1, round(0.95 * len(vals)))]))
 

@@ -13,6 +13,8 @@ from segan import engine as eg
 from segan.engine import Parameter, Tensor, backward, no_grad, sample_z
 from segan.errors import NonScalarLossError, ShapeMismatchError
 from segan.gradcheck import OP_CASES
+from segan.model import GeneratorConfig
+from segan.trainer import ENHANCE_BATCH
 
 
 def _p(name, data):
@@ -69,6 +71,30 @@ def test_prelu_slope_gradient_closed_form():
     a = _p("a", [0.25])
     backward(eg.prelu(x, a).sum())
     assert a.grad[0] == -3.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prelu_is_bitwise_the_closed_forms(dtype):
+    # slopes < 0, +-0, in (0, 1), exactly 1, > 1, NaN and +-inf in one tensor;
+    # every input row below meets every slope, signed zeros, NaN and +-inf included
+    slopes = np.array([-0.7, 0.0, -0.0, 0.3, 1.0, 1.5, np.nan, np.inf, -np.inf], dtype)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 1e-30, -1e-30], dtype)
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((2, 40, slopes.size)).astype(dtype)
+    data[0, :special.size] = special[:, None]
+    g = rng.uniform(0.5, 1.5, data.shape).astype(dtype)
+    x, a = Parameter("x", data), Parameter("a", slopes)
+    with np.errstate(invalid="ignore"):
+        y = eg.prelu(x, a)
+        backward(eg.mul(y, Tensor(g)).sum())
+        want_y = np.where(data > 0, data, slopes * data)
+        # gradients land in zeroed buffers, where += turns -0.0 into +0.0
+        want_gx = np.zeros_like(data) + g * np.where(data > 0, 1, slopes)
+        want_ga = np.zeros_like(slopes) + (np.where(data > 0, 0, data) * g).sum(axis=(0, 1))
+    assert y.dtype == x.grad.dtype == a.grad.dtype == dtype
+    assert y.data.tobytes() == want_y.tobytes()
+    assert x.grad.tobytes() == want_gx.tobytes()
+    assert a.grad.tobytes() == want_ga.tobytes()
 
 
 def test_prelu_shape_validation():
@@ -223,26 +249,47 @@ def test_conv_and_transpose_are_each_others_gradients_bitwise(width, stride):
 # 1 and 2 long channels (the one-tap and stride-tap folds of the scatter),
 # SEGAN's width 31 at stride 2, a width below the stride, and stride 1;
 # every length divides by its stride.
-KERNEL_SHAPES = [(40, 31, 2, 1, 3), (40, 31, 2, 2, 3), (36, 31, 2, 3, 1),
+KERNEL_SHAPES = [(40, 31, 2, 1, 3), (40, 31, 2, 2, 3), (36, 31, 2, 3, 1), (40, 31, 2, 1, 1),
                  (12, 3, 4, 2, 2), (10, 5, 1, 2, 3), (9, 1, 3, 1, 2)]
+
+# (regime, block count) of every kernel call on KERNEL_SHAPES at batch 3, per
+# _BLOCK_BYTES (None: the default). A block may hold the weights' bytes of
+# columns, which is c_short rows, so below that 1 and 200 give one position
+# per block with one short channel and runs of c_short positions with more.
+KERNEL_BLOCKS = {
+    None: [("whole", 1)] * 7,
+    1: [("runs", 21), ("runs", 21), ("position", 54), ("position", 60),
+        ("runs", 6), ("runs", 12), ("runs", 6)],
+    200: [("runs", 21), ("runs", 21), ("position", 54), ("position", 60),
+          ("whole", 3), ("runs", 12), ("whole", 1)],
+}
+
+
+def _regime(blocks, rows):
+    sizes = [pos.stop - pos.start for _, pos in blocks]
+    if all(n == rows for n in sizes):
+        return "whole"
+    return "position" if all(n == 1 for n in sizes) else "runs"
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1, 200])
 @pytest.mark.parametrize("length,width,stride,c_long,c_short", KERNEL_SHAPES)
 def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, length, width,
                                                      stride, c_long, c_short):
-    # block_bytes 1 puts one output position in each block; 200 splits the
-    # width-31 and stride-1 calls within an example, gives the width-3 call
-    # one whole example per block and leaves the width-1 call in one block
     if block_bytes is not None:
         monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+    calls, blocks_of = [], eg._blocks
+
+    def spy(*args):
+        blocks = blocks_of(*args)
+        calls.append((_regime(blocks, args[1]), len(blocks)))
+        return blocks
+    monkeypatch.setattr(eg, "_blocks", spy)
     rng = np.random.default_rng(length * width + stride)
     out_len = -(-length // stride)
     x = rng.standard_normal((3, length, c_long))
     w = rng.standard_normal((width, c_long, c_short))
     g = rng.standard_normal((3, out_len, c_short))
-    if block_bytes == 1:
-        assert len(eg._blocks(3, out_len, width * c_long * 8)) == 3 * out_len
 
     cx, cw = Parameter("x", x), Parameter("w", w)
     y = eg.conv1d(cx, cw, stride=stride)
@@ -254,6 +301,35 @@ def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, l
     assert np.max(np.abs(cx.grad - want)) <= 1e-12
     up = eg.conv1d_transpose(Tensor(g), Tensor(w), stride=stride).data
     assert np.max(np.abs(up - want)) <= 1e-12
+    # correlate, weight gradient, scatter, scatter
+    shape = KERNEL_SHAPES.index((length, width, stride, c_long, c_short))
+    assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * 4
+
+
+def test_blocks_are_bounded_by_the_larger_of_the_cap_and_the_weights():
+    # shapes alone, no weights built: (batch, rows, row bytes, weight bytes)
+    for batch, rows, row_bytes, weight_bytes in [
+            (3, 20, 248, 744), (8, 8, 63488, 63488 * 1024), (8, 4096, 1984, 1984 * 32),
+            (16, 512, 3968, 3968 * 64), (5, 7, 3 << 20, 3 << 20), (2, 9, 1 << 20, 10),
+            (2, 3, 5 << 20, 10)]:
+        cap = max(eg._BLOCK_BYTES, weight_bytes)
+        seen = np.zeros((batch, rows), int)
+        for ex, pos in eg._blocks(batch, rows, row_bytes, weight_bytes):
+            n = (ex.stop - ex.start) * (pos.stop - pos.start)
+            assert n == 1 or n * row_bytes <= cap
+            seen[ex, pos] += 1
+        assert np.all(seen == 1)
+    # full scale at ENHANCE_BATCH windows: these layers read their weights in one GEMM
+    cfg = GeneratorConfig()
+    c_in = [1, *cfg.enc_channels[:-1]]    # input channels of encoder layer k at [k - 1]
+    # name: (long channels, short channels, depth); decoder layer k mirrors encoder layer k
+    layers = {"enc11": (c_in[10], cfg.enc_channels[10], 11),
+              "dec11": (c_in[10], cfg.enc_channels[10] + cfg.z_channels, 11),
+              "dec10": (c_in[9], 2 * cfg.enc_channels[9], 10)}
+    for name, (c_long, c_short, depth) in layers.items():
+        row_bytes = cfg.filter_width * c_long * np.dtype(np.float32).itemsize
+        rows = cfg.window // cfg.stride ** depth
+        assert len(eg._blocks(ENHANCE_BATCH, rows, row_bytes, row_bytes * c_short)) == 1, name
 
 
 @pytest.mark.parametrize("length,width,stride,c_long,c_short", KERNEL_SHAPES)

@@ -233,6 +233,45 @@ def test_llr_runs_on_an_enveloped_tone():
     assert np.isfinite(llr(_wave(x), _wave(y)))
 
 
+def _harmonic_speech(n, seed, rate=16000):
+    """Noise-free voiced-speech stand-in: eight harmonics of a gliding pitch
+    under a syllable-rate envelope, peak 0.5."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / rate
+    f0 = rng.uniform(100, 220) * (1 + 0.06 * np.sin(2 * np.pi * rng.uniform(0.4, 1.2) * t))
+    phase = 2 * np.pi * np.cumsum(f0) / rate
+    x = sum(rng.uniform(0.6, 1.0) / k ** 1.3 * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+            for k in range(1, 9))
+    x *= 0.15 + 0.85 * np.sin(np.pi * rng.uniform(3, 5) * t) ** 2
+    return 0.5 * x / np.max(np.abs(x))
+
+
+def test_llr_on_noise_free_harmonic_speech():
+    # without the white-noise correction these frames drive the Levinson
+    # error to the rounding floor and the fit raises NumericalError
+    x = _harmonic_speech(30 * 16000, seed=0)
+    assert llr(_wave(x), _wave(x)) == 0.0
+    quantised = _pcm16(x)
+    got = llr(_wave(x), _wave(quantised))
+    assert 0.0 <= got < 1e-6
+    want = llr_oracle(x[:16000], quantised[:16000], 16000)
+    assert abs(llr(_wave(x[:16000]), _wave(quantised[:16000])) - want) <= 1e-9
+    noisy = x + 0.05 * np.random.default_rng(1).standard_normal(x.size)
+    assert 0.0 < llr(_wave(x), _wave(noisy)) <= 2.0
+
+
+def test_llr_clamps_each_frame():
+    # a resonant clean signal against white noise: unclamped frame values
+    # pass 2, and each is held at 2 before the mean
+    rng = np.random.default_rng(16)
+    clean = _ar([1.8, -0.95], rng.standard_normal(4800))
+    white = rng.standard_normal(4800)
+    assert llr_oracle(clean, white, 16000, clamp=(-np.inf, np.inf)) > 2.0
+    got = llr(_wave(clean), _wave(white))
+    assert got <= 2.0
+    assert abs(got - llr_oracle(clean, white, 16000)) <= 1e-9
+
+
 def test_llr_independent_of_block_size(monkeypatch):
     x, y = list(_well_conditioned_pairs())[-2]
     want = llr(_wave(x), _wave(y))
