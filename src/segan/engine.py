@@ -3,9 +3,12 @@
 Define-by-run: every op computes its result and hands it to `_make` with its
 parents and a closure that routes the upstream gradient back to them; `_make`
 alone decides whether to record that node (gradients enabled and some parent
-requiring grad). `backward(loss)` walks the recorded graph in reverse
-topological order. Convention for conv-shaped data is (batch, length,
-channels); reductions and reshapes may produce other ranks.
+requiring grad). A closure keeps only its parents' data and its own output.
+`backward(loss)` walks the recorded graph in reverse topological order and
+releases each recorded node's gradient once its closure has passed it on,
+so the walk holds a few gradients at a time, whatever the graph's depth.
+Convention for conv-shaped data is (batch, length, channels); reductions
+and reshapes may produce other ranks.
 
 Only the operations this model family needs are provided. float32 is the
 training dtype; build the same graph from float64 arrays when verifying
@@ -49,8 +52,10 @@ def no_grad():
 class Tensor:
     """A numpy array plus the bookkeeping needed for backprop.
 
-    `grad` is lazily allocated during backward for intermediates;
-    parameters pre-allocate it so unused parameters report zero gradients.
+    An intermediate's `grad` is allocated when backward first reaches it
+    and released (set to None) once backward has passed it to the parents;
+    leaves keep theirs. Parameters pre-allocate it so unused parameters
+    report zero gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -432,18 +437,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
     """
     length, width = _check_conv("conv1d", x, w, b, stride, in_axis=1)
     out_len, pad_total, pad_left = _conv_geometry(length, width, stride)
-    xp = _pad(x.data, pad_total, pad_left)
-    y = _correlate(xp, w.data, stride, out_len, x.data.dtype)
+    y = _correlate(_pad(x.data, pad_total, pad_left), w.data, stride, out_len, x.data.dtype)
     if b is not None:
         y += b.data
 
     def back(g):
+        # the padded input is rebuilt, not kept: it would live as long as the graph
         if b is not None:
             _accum(b, g.sum(axis=(0, 1)))
         if w.requires_grad:
-            _accum(w, _tap_grad(xp, g, w.data, stride))
+            _accum(w, _tap_grad(_pad(x.data, pad_total, pad_left), g, w.data, stride))
         if x.requires_grad:
-            gxp = _scatter(g, w.data, stride, xp.shape[1], xp.dtype)
+            gxp = _scatter(g, w.data, stride, length + pad_total, x.data.dtype)
             _accum(x, gxp[:, pad_left:pad_left + length])
     return _make(y, (x, w, b), back)
 
@@ -518,7 +523,9 @@ def lsq_loss(d_out: Tensor, target: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into .grad over the graph below `loss`."""
+    """Accumulate d(loss)/d(t) into the .grad of the leaves below `loss`.
+    Recorded nodes end with grad None, so a second call over the same graph
+    adds exactly one more gradient."""
     if loss.data.size != 1:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -540,6 +547,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def sample_z(batch: int, length: int, channels: int,

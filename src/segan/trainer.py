@@ -4,14 +4,20 @@ Each step: (1) the discriminator learns to score real (clean, noisy) pairs
 toward 1, (2) then generated (enhanced, noisy) pairs toward 0, (3) then,
 with the discriminator's parameters untouched, the generator descends the
 adversarial score plus a weighted mean-absolute regression to the clean
-target. One latent draw is shared by phases 2 and 3, and the generator
-forward graph built in phase 2 is reused in phase 3 (the discriminator
-update between them does not involve the generator's tensors).
+target. One latent draw is shared by phases 2 and 3. With one
+micro-batch, the generator forward graph built in phase 2 is reused in
+phase 3 (the discriminator update between them does not involve the
+generator's tensors). With several micro-batches (accum_steps > 1),
+phase 2 builds its fakes without a graph and phase 3 rebuilds one
+micro-batch's graph at a time (recomputation, Chen et al. 2016): one more
+generator forward per adversarial step buys a peak set by one
+micro-batch, not the whole batch. G does not change between the phases,
+so the rebuilt fakes equal phase 2's bit for bit.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,9 +52,9 @@ from .model import (
 from .optim import LR, RMSprop
 
 Z_MODES = ("seeded", "zero")    # enhance_file's latent: a seeded N(0, 1) draw, or zeros
-# Windows per generator call in enhance_file. At full scale 16 or 32 ran
-# about 5-10% faster per window than 8, but each window adds about 4 MB to
-# the call's peak memory.
+# Windows per generator call in enhance_file. At full scale 16 windows ran
+# enhance-long 4-14% faster than 8 (rtf), but each window above 8 added
+# 5.2 MB to its peak RSS (414.0 against 372.1 MB).
 ENHANCE_BATCH = 8
 
 
@@ -145,7 +151,13 @@ def train_step(gen: Generator, disc: Discriminator | None,
         d_real = _finite_mean(step, "d_real", vals)
         d_opt.step()
 
-    fakes = [g_forward(gen, nt, zt) for nt, zt in zip(noisy_t, z_t)]
+    # one micro-batch: its G graph is built here and reused in phase 3;
+    # several: phase 2 needs G's output alone (L1 mode not even that)
+    reuse = len(slices) == 1
+    fakes = []
+    if reuse or cfg.adversarial:
+        with nullcontext() if reuse else no_grad():
+            fakes = [g_forward(gen, nt, zt) for nt, zt in zip(noisy_t, z_t)]
 
     if cfg.adversarial:
         d_opt.zero_grad()
@@ -160,7 +172,8 @@ def train_step(gen: Generator, disc: Discriminator | None,
     g_opt.zero_grad()
     adv_vals, l1_vals = [], []
     with _frozen(disc.parameters() if cfg.adversarial else []):
-        for fake, nt, ct in zip(fakes, noisy_t, clean_t):
+        for i, (nt, ct) in enumerate(zip(noisy_t, clean_t)):
+            fake = fakes[i] if reuse else g_forward(gen, nt, z_t[i])
             l1 = eg.l1_loss(fake, ct)
             if cfg.adversarial:
                 adv = eg.lsq_loss(d_forward(disc, fake, nt), 1.0)

@@ -1,6 +1,7 @@
 """Autodiff engine: forward fixtures, brute-force oracles, gradient routing."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,72 @@ def test_backward_twice_identical_gradients():
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+def _recorded(root):
+    """Every recorded node of the graph below root (root included)."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_twice_over_one_graph_adds_the_gradient_once_more():
+    # each leaf feeds one op, so the second pass adds the first pass's
+    # gradient exactly; stale intermediate gradients would add more again
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w1 = _p("w1", rng.standard_normal((4, 5)))
+    w2 = _p("w2", rng.standard_normal((5, 2)))
+    loss = eg.tanh(eg.linear(eg.tanh(eg.linear(x, w1)), w2)).sum()
+    leaves = (x, w1, w2)
+    backward(loss)
+    once = [t.grad.copy() for t in leaves]
+    backward(loss)
+    for t, g in zip(leaves, once):
+        assert t.grad.tobytes() == (g + g).tobytes()
+    nodes = _recorded(loss)
+    assert len(nodes) == 5
+    assert all(node.grad is None for node in nodes)
+
+
+@pytest.mark.parametrize("depth", [10, 40])
+def test_backward_memory_does_not_grow_with_depth(depth):
+    # a node's gradient is released once its closure has run, so the walk
+    # holds about one gradient, its parent's and a temporary at a time
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal(1 << 17), requires_grad=True)   # 1 MB
+    half = Tensor(np.full(x.data.shape, 0.5))
+    h = x
+    for i in range(depth):
+        h = eg.tanh(h) if i % 2 else eg.mul(h, half)
+    loss = h.sum()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 4 * x.data.nbytes, (peak - held) / x.data.nbytes
+
+
+def test_backward_closures_hold_only_parent_data_and_their_own_output():
+    # an array a closure keeps beyond these (a padded copy, say) lives as
+    # long as the graph does
+    for name, case in OP_CASES.items():
+        build_loss, _ = case(np.random.default_rng(0))
+        for node in _recorded(build_loss()):
+            allowed = {id(node.data)} | {id(p.data) for p in node._parents}
+            for cell in node._backward.__closure__ or ():
+                held = cell.cell_contents
+                if isinstance(held, np.ndarray):
+                    assert id(held) in allowed, (name, held.shape)
 
 
 def test_unused_parameter_reports_zero_gradient():
