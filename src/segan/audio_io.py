@@ -53,7 +53,7 @@ class Waveform:
 class WavReader:
     """A mono 16-bit PCM WAV open for reading from start to end, samples
     scaled by 1/32768 into [-1, 1). A header that claims more frames than
-    the file holds is read as far as the file goes."""
+    the file holds is read as far as the file goes, to its last whole sample."""
 
     def __init__(self, path):
         self.path = path
@@ -84,6 +84,7 @@ class WavReader:
     def read(self, n: int) -> np.ndarray:
         """The next at most n samples; empty at the end."""
         raw = self._fh.readframes(min(n, self._left))
+        raw = raw[:len(raw) // 2 * 2]
         self._left -= len(raw) // 2
         return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 

@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .errors import ConfigError, SeganError
 from .gradcheck import check_all_ops
-from .metrics import aggregate_mos, llr, load_ratings, ssnr, write_report
+from .metrics import aggregate_mos, llr, load_ratings, metric_means, ssnr, write_report
 from .model import GeneratorConfig, shape_ledger
 from .trainer import Z_MODES, TrainConfig, enhance_file, train
 from .wiener import enhance_wiener
@@ -260,6 +260,8 @@ def cmd_synth_data(v: dict) -> int:
     kinds, snrs = v["kinds"], v["snrs"]
     if v["rate"] < 1:
         raise ConfigError(f"synth-data.rate must be positive, got {v['rate']}")
+    if v["seed"] < 0:
+        raise ConfigError(f"synth-data.seed must be >= 0, got {v['seed']}")
     if not v["duration_s"] > 0:
         raise ConfigError(f"synth-data.duration_s must be positive, got {v['duration_s']}")
     for name in ("kinds", "snrs"):
@@ -299,8 +301,10 @@ def cmd_train(v: dict) -> int:
     entries = load_manifest(v["data"])
     pairs = list(build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),
                              window=mcfg.window, hop=hop))
-    result = train(mcfg, tcfg, pairs, v["out"])
-    (Path(v["out"]) / "run_config.txt").write_text("\n".join(_resolved_lines(v)) + "\n")
+    out = Path(v["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run_config.txt").write_text("\n".join(_resolved_lines(v)) + "\n")
+    result = train(mcfg, tcfg, pairs, out)
     last = result.reports[-1]
     print(f"trained {len(result.reports)} steps over {len(pairs)} pairs")
     print(f"final losses: d_real={last.d_real:.6f} d_fake={last.d_fake:.6f} "
@@ -339,9 +343,8 @@ def cmd_eval(v: dict) -> int:
     else:
         for name, m, value in rows:
             print(f"{name}\t{m}\t{value}")
-        for m in metrics:
-            vals = [val for _, mm, val in rows if mm == m]
-            print(f"AGGREGATE\t{m}\t{float(np.mean(vals))}")
+        for m, mean in metric_means(rows).items():
+            print(f"AGGREGATE\t{m}\t{mean}")
     if v["report"]:
         write_report(v["report"], rows)
         print(f"report written to {v['report']}")
@@ -350,12 +353,9 @@ def cmd_eval(v: dict) -> int:
 
 def cmd_gradcheck(v: dict) -> int:
     results = check_all_ops(**_library_args(check_all_ops, v))
-    failed = []
+    failed = [name for name, err in results.items() if err >= v["tol"]]
     for name, err in results.items():
-        status = "ok" if err < v["tol"] else "FAIL"
-        print(f"{name:<22} {err:.3e}  {status}")
-        if err >= v["tol"]:
-            failed.append(name)
+        print(f"{name:<22} {err:.3e}  {'FAIL' if name in failed else 'ok'}")
     if failed:
         print(f"{len(failed)} op(s) exceeded tolerance {v['tol']}: {', '.join(failed)}")
         return 2

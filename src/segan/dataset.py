@@ -66,21 +66,25 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     return Waveform(clean.samples + g * n, clean.sample_rate)
 
 
+def _time_axis(duration_s: float, rate: int) -> np.ndarray:
+    """Sample times in seconds of a signal duration_s long."""
+    if duration_s <= 0:
+        raise ValueError(f"duration must be positive, got {duration_s}")
+    return np.arange(round(duration_s * rate)) / rate
+
+
 def synth_clean(seed: int = 0, duration_s: float = 1.0,
                 rate: int = SAMPLE_RATE) -> Waveform:
     """Harmonic complex: random f0 in 80-300 Hz, 3-8 harmonics with strictly
     decaying amplitudes, slow sinusoidal amplitude envelope, peak <= 0.8.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    t = _time_axis(duration_s, rate)
     rng = _rng_for("clean:voice", seed)
-    n = round(duration_s * rate)
-    t = np.arange(n) / rate
     f0 = rng.uniform(80.0, 300.0)
     n_harm = int(rng.integers(3, 9))
     amps = rng.uniform(0.8, 1.0, n_harm) / (1.0 + np.arange(n_harm)) ** 1.2
     phases = rng.uniform(0.0, 2 * np.pi, n_harm)
-    sig = np.zeros(n)
+    sig = np.zeros_like(t)
     for h in range(n_harm):
         sig += amps[h] * np.sin(2 * np.pi * f0 * (h + 1) * t + phases[h])
     env_rate = rng.uniform(1.5, 4.0)
@@ -94,12 +98,10 @@ def synth_clean(seed: int = 0, duration_s: float = 1.0,
 def synth_noise(kind, seed: int = 0, duration_s: float = 1.0,
                 rate: int = SAMPLE_RATE) -> Waveform:
     """Deterministic noise of the given kind, peak-normalized to <= 0.8."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    t = _time_axis(duration_s, rate)
     kind = NoiseKind(kind)
     rng = _rng_for(f"noise:{kind.value}", seed)
-    n = round(duration_s * rate)
-    t = np.arange(n) / rate
+    n = t.size
 
     if kind is NoiseKind.WHITE:
         sig = rng.standard_normal(n)

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import engine as eg
 from .engine import Parameter, Tensor, backward
+from .errors import ConfigError
 
 
 def grad_check(build_loss, params: list[Parameter], eps: float) -> float:
@@ -216,6 +217,8 @@ OP_CASES = {
 
 def check_all_ops(seed: int = 0, eps: float = 1e-5) -> dict[str, float]:
     """Run every op case; returns op name -> max relative gradient error."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     results = {}
     for i, (name, case) in enumerate(OP_CASES.items()):
         build_loss, params = case(np.random.default_rng(seed + 13 * i))

@@ -50,18 +50,23 @@ LLR_WNC = 1e-4
 LLR_MIN_RATE = 551
 
 
+def _matched(clean: Waveform, test: Waveform) -> tuple[np.ndarray, np.ndarray]:
+    """The two signals' samples, once their lengths and rates agree."""
+    x, y = clean.samples, test.samples
+    if x.size != y.size:
+        raise LengthMismatchError(f"length mismatch: {x.size} vs {y.size}")
+    if clean.sample_rate != test.sample_rate:
+        raise LengthMismatchError(f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
+    return x, y
+
+
 def ssnr(clean: Waveform, test: Waveform) -> float:
     """Mean over non-overlapping SSNR_FRAME-sample frames of
     10*log10(clean energy / error energy), clamped to SSNR_CLAMP_DB. Frames
     whose clean energy is below 1e-8 are skipped; the error denominator is
     floored at 1e-12 so identical signals score the upper clamp.
     """
-    x, y = clean.samples, test.samples
-    if x.size != y.size:
-        raise LengthMismatchError(f"length mismatch: {x.size} vs {y.size}")
-    if clean.sample_rate != test.sample_rate:
-        raise LengthMismatchError(
-            f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
+    x, y = _matched(clean, test)
     if x.size < SSNR_FRAME:
         raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {SSNR_FRAME})")
     n = x.size // SSNR_FRAME * SSNR_FRAME
@@ -125,12 +130,7 @@ def llr(clean: Waveform, test: Waveform) -> float:
     Both autocorrelations carry the LLR_WNC white-noise correction.
     Near-silent frames are skipped.
     """
-    x, y = clean.samples, test.samples
-    if x.size != y.size:
-        raise LengthMismatchError(f"length mismatch: {x.size} vs {y.size}")
-    if clean.sample_rate != test.sample_rate:
-        raise LengthMismatchError(
-            f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
+    x, y = _matched(clean, test)
     order = LPC_ORDER
     rate = clean.sample_rate
     flen = round(LLR_FRAME_S * rate)
@@ -248,13 +248,18 @@ def aggregate_mos(rows: list[Rating]) -> MosSummary:
     return MosSummary(mos, cmos, preference)
 
 
+def metric_means(rows: list[tuple[str, str, float]]) -> dict[str, float]:
+    """Mean value per metric of (file, metric, value) rows, keyed in the
+    order each metric first appears."""
+    metrics = dict.fromkeys(m for _, m, _ in rows)
+    return {m: float(np.mean([v for _, mm, v in rows if mm == m])) for m in metrics}
+
+
 def write_report(path, rows: list[tuple[str, str, float]]) -> None:
     """CSV of (file, metric, value) rows plus per-metric aggregate rows."""
     lines = ["file,metric,value"]
     for name, metric, value in rows:
         lines.append(f"{name},{metric},{value!r}")
-    metrics = sorted({m for _, m, _ in rows})
-    for m in metrics:
-        vals = [v for _, mm, v in rows if mm == m]
-        lines.append(f"AGGREGATE,{m},{float(np.mean(vals))!r}")
+    for m, mean in sorted(metric_means(rows).items()):
+        lines.append(f"AGGREGATE,{m},{mean!r}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -20,8 +20,8 @@ EPS = 1e-6
 
 class RMSprop:
     def __init__(self, params: list[Parameter], lr: float = LR):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
         self.cache = [np.zeros_like(p.data) for p in self.params]

@@ -199,6 +199,17 @@ def test_header_claiming_more_frames_is_read_as_far_as_the_file_goes(tmp_path):
         assert np.array_equal(np.concatenate(list(r.blocks(64))), pcm[:-10] / 32768.0)
 
 
+def test_file_cut_inside_a_sample_reads_to_the_sample_before(tmp_path):
+    path = tmp_path / "cut.wav"
+    pcm = np.arange(-50, 50) * 300
+    write_raw_wav(path, pcm)
+    path.write_bytes(path.read_bytes()[:-1])            # half of the last sample
+    assert np.array_equal(read_wav(path).samples, pcm[:-1] / 32768.0)
+    for block in (7, 99, 100, 1000):
+        with WavReader(path) as r:
+            assert np.array_equal(np.concatenate(list(r.blocks(block))), pcm[:-1] / 32768.0)
+
+
 def test_writer_appends_blocks_as_one_write(tmp_path):
     x = np.random.default_rng(2).uniform(-1.2, 1.2, 1001)
     write_wav(Waveform(x, 16000), tmp_path / "whole.wav")

@@ -359,6 +359,25 @@ def test_synth_train_enhance_eval_pipeline(tmp_path, capsys):
     assert np.isfinite(value)
 
 
+def test_a_stopped_train_run_keeps_its_config_and_log(tmp_path, capsys, monkeypatch):
+    import segan.trainer as trainer
+    from segan.errors import NonFiniteLossError
+
+    def stops(*a, **k):
+        raise NonFiniteLossError("injected")
+
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert main(["synth-data", "--out", str(corpus), "--n-utterances", "2",
+                 "--duration-s", "0.064", "--seed", "1"]) == 0
+    monkeypatch.setattr(trainer, "train_step", stops)
+    code = main(["train", "--data", str(corpus / "manifest.tsv"), "--out", str(run),
+                 "--window", "256", "--enc-channels", "8,16", "--z-channels", "16",
+                 "--adversarial", "false", "--lambda-l1", "50"])
+    assert code == 2
+    assert "lambda_l1=50.0" in (run / "run_config.txt").read_text().splitlines()
+    assert (run / "losses.csv").read_text() == "step,d_real,d_fake,g_adv,g_l1\n"
+
+
 def test_enhance_wiener_cli(tmp_path, capsys):
     src = tmp_path / "noisy.wav"
     write_wav(synth_clean(seed=5, duration_s=1.0), src)
@@ -382,6 +401,9 @@ _INPUTS = {
     "gradcheck": lambda tmp: [],
     "synth-data": lambda tmp: ["--out", str(tmp / "corpus"), "--n-utterances", "2",
                                "--duration-s", "0.1"],
+    "train": lambda tmp: ["--data", str(tmp / "manifest.tsv"), "--out", str(tmp / "run")],
+    "enhance": lambda tmp: ["--checkpoint", str(tmp / "g.sgn"), "--in", str(tmp / "noisy.wav"),
+                            "--out", str(tmp / "o.wav")],
 }
 
 
@@ -416,3 +438,23 @@ def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
     assert re.search(rf"\b{flag}\b", err), err
     assert not (tmp_path / "o.wav").exists()
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("sub, flag, value", [
+    ("train", "lr", "nan"),
+    ("train", "lr", "inf"),
+    ("train", "lambda_l1", "nan"),
+    ("train", "lambda_l1", "inf"),
+    ("train", "seed", "-1"),
+    ("synth-data", "seed", "-1"),
+    ("enhance", "z_seed", "-1"),
+    ("gradcheck", "seed", "-1"),
+])
+def test_non_finite_rate_or_negative_seed_is_a_usage_error(tmp_path, capsys, sub, flag, value):
+    # checked before the manifest, checkpoint or input WAV is opened
+    code = main([sub, *_INPUTS[sub](tmp_path), f"--{flag.replace('_', '-')}", value])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert re.search(rf"\b{flag}\b", err), err
+    for name in ("o.wav", "corpus", "run"):
+        assert not (tmp_path / name).exists()

@@ -1,9 +1,11 @@
 """Finite-difference gradient checks across the op inventory."""
 
 import numpy as np
+import pytest
 
 from segan import engine as eg
 from segan.engine import Parameter
+from segan.errors import ConfigError
 from segan.gradcheck import OP_CASES, check_all_ops, grad_check
 
 
@@ -61,6 +63,11 @@ def test_detects_kink_disagreement():
         return eg.leaky_relu(x).sum()
 
     assert grad_check(loss, [x], eps=1e-5) > 0.1
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        check_all_ops(seed=-1)
 
 
 def test_seed_changes_draws_but_not_verdict():

@@ -74,3 +74,9 @@ def test_zero_grad_clears_buffers():
 def test_lr_validation():
     with pytest.raises(ValueError):
         RMSprop([], lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+def test_non_finite_lr_is_rejected(lr):
+    with pytest.raises(ValueError, match="lr"):
+        RMSprop([], lr=lr)

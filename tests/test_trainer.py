@@ -292,6 +292,41 @@ def test_train_config_validation():
         TrainConfig(accum_steps=0)
 
 
+@pytest.mark.parametrize("field", ["lr", "lambda_l1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1)
+    TrainConfig(seed=0)
+
+
+def test_a_stopped_run_keeps_the_rows_of_its_finished_steps(tmp_path, monkeypatch):
+    import segan.trainer as trainer
+    real, calls = trainer.train_step, []
+
+    def stops_at_the_third(*a, **k):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NonFiniteLossError("injected")
+        return real(*a, **k)
+
+    monkeypatch.setattr(trainer, "train_step", stops_at_the_third)
+    cfg = TrainConfig(epochs=2, batch_size=2, adversarial=False, checkpoint_every=0)
+    with pytest.raises(NonFiniteLossError):
+        train(TINY, cfg, _tiny_pairs(4, np.random.default_rng(4)), tmp_path)
+    lines = (tmp_path / "losses.csv").read_text().splitlines()
+    assert lines[0] == "step,d_real,d_fake,g_adv,g_l1"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    monkeypatch.undo()
+    whole = train(TINY, cfg, _tiny_pairs(4, np.random.default_rng(4)), tmp_path / "whole")
+    assert whole.loss_log.read_text().splitlines()[:3] == lines
+
+
 def test_train_rejects_bad_pairs(tmp_path):
     cfg = TrainConfig(epochs=1, adversarial=False)
     with pytest.raises(ValueError, match="no training pairs"):
@@ -445,6 +480,16 @@ def test_enhance_file_z_modes(tmp_path):
     assert len(read_wav(d)) == 200
     with pytest.raises(ConfigError, match="z_mode"):
         enhance_file(ckpt, src, tmp_path / "x.wav", z_mode="random")
+
+
+@pytest.mark.parametrize("z_mode", Z_MODES)
+def test_enhance_file_rejects_a_negative_z_seed(tmp_path, z_mode):
+    ckpt = tmp_path / "g.sgn"
+    save_checkpoint(ckpt, build_generator(TINY, seed=8))
+    write_wav(Waveform(np.zeros(200), 16000), tmp_path / "in.wav")
+    with pytest.raises(ConfigError, match="z_seed"):
+        enhance_file(ckpt, tmp_path / "in.wav", tmp_path / "x.wav", z_mode=z_mode, z_seed=-1)
+    assert not (tmp_path / "x.wav").exists()
 
 
 def test_enhance_empty_input(tmp_path):
