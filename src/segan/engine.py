@@ -209,21 +209,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-    return _make(a.data / b.data, (a, b), back)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    root = np.sqrt(x.data)
-
-    def back(g):
-        _accum(x, g * (0.5 / root))
-    return _make(root, (x,), back)
-
-
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
@@ -386,8 +371,12 @@ def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dty
     wk = w.reshape(width * c_long, c_short)
     out = np.empty((long.shape[0], short_len, c_short), dtype=dtype)
     for ex, pos in _blocks(long.shape[0], short_len, width * c_long * long.itemsize, w.nbytes):
-        blk = cols[ex, pos]
-        out[ex, pos] = (blk.reshape(-1, width * c_long) @ wk).reshape(*blk.shape[:2], c_short)
+        # GEMM on a contiguous copy of the overlapping windows runs about
+        # twice as fast as on the view, and writes straight into out
+        blk = np.ascontiguousarray(cols[ex, pos]).reshape(-1, width * c_long)
+        dst = out[ex, pos].reshape(-1, c_short)
+        assert dst.base is out
+        np.matmul(blk, wk, out=dst)
     return out
 
 
@@ -488,19 +477,61 @@ def virtual_batch_norm(x: Tensor, ref_mean: np.ndarray, ref_var: np.ndarray,
     with the example's own per-channel stats.
 
     ref_mean/ref_var are frozen arrays (no gradient); gamma/beta are
-    per-channel trainables. Differentiable through the example's own
-    mean/variance contribution.
+    per-channel trainables of x's dtype. Six small nodes on (B, 1, C)
+    statistics feed one normalize node, so the graph keeps no array of x's
+    shape but the output. Each node repeats, in order, the float operations
+    of the same formula built from elementwise nodes, so values and
+    gradients carry that composite's bits.
     """
     w_ref = n_ref / (n_ref + 1.0)
-    w_new = 1.0 / (n_ref + 1.0)
     dt = x.data.dtype
+    w_new = Tensor(np.asarray(1.0 / (n_ref + 1.0), dt))
     ex_mean = x.mean_axis(1)
-    centered = sub(x, ex_mean)
-    ex_var = mul(centered, centered).mean_axis(1)
-    mu = add(Tensor((w_ref * ref_mean).astype(dt)), mul(ex_mean, Tensor(np.asarray(w_new, dt))))
-    var = add(Tensor((w_ref * ref_var + VBN_EPS).astype(dt)), mul(ex_var, Tensor(np.asarray(w_new, dt))))
-    norm = div(sub(x, mu), sqrt(var))
-    return add(mul(norm, gamma), beta)
+    ex_var = _centered_second_moment(x, ex_mean)
+    mu = add(Tensor((w_ref * ref_mean).astype(dt)), mul(ex_mean, w_new))
+    var = add(Tensor((w_ref * ref_var + VBN_EPS).astype(dt)), mul(ex_var, w_new))
+    return _normalize(x, mu, var, gamma, beta)
+
+
+def _centered_second_moment(x: Tensor, m: Tensor) -> Tensor:
+    """mean((x - m)**2) over axis 1, keepdims=True; m is x.mean_axis(1)."""
+    n = x.data.shape[1]
+    c = x.data - m.data
+    c *= c
+
+    def back(g):
+        # d/dc of mean(c * c) is 2 * c * g / n, summed as c * (g / n) twice
+        c = x.data - m.data
+        c *= g / n
+        c += c
+        _accum(x, c)
+        _accum(m, -c.sum(axis=1, keepdims=True))
+    return _make(np.mean(c, axis=1, keepdims=True), (x, m), back)
+
+
+def _normalize(x: Tensor, mu: Tensor, var: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """(x - mu) / sqrt(var) * gamma + beta; mu and var are (B, 1, C).
+    Backward negates after summing, as -sum(a) == sum(-a) bit for bit."""
+    y = x.data - mu.data
+    y /= np.sqrt(var.data)
+    y *= gamma.data
+    y += beta.data
+
+    def back(g):
+        s = np.sqrt(var.data)
+        xm = x.data - mu.data
+        t = xm / s
+        t *= g
+        _accum(gamma, t.sum(axis=(0, 1)))
+        _accum(beta, g.sum(axis=(0, 1)))
+        np.multiply(g, gamma.data, out=t)           # gradient of the normalized x
+        xm *= t
+        xm /= s * s
+        _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s))
+        t /= s                                      # gradient of x - mu
+        _accum(mu, -t.sum(axis=1, keepdims=True))
+        _accum(x, t)
+    return _make(y, (x, mu, var, gamma, beta), back)
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio_io import SAMPLE_RATE, Waveform
-from .errors import InvalidWindowError, ShapeMismatchError, TooShortError, WrongRateError
+from .errors import ConfigError, ShapeMismatchError, TooShortError, WrongRateError
 
 # Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
 # frames, as fast as larger blocks), so the scratch memory stays bounded
@@ -44,7 +44,7 @@ def stft(w: Waveform, frame: int = FRAME, hop: int = HOP) -> Spectrogram:
     whole signal.
     """
     if not 0 < hop <= frame:
-        raise InvalidWindowError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
+        raise ConfigError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
     x = w.samples
     if x.size < frame:
         raise TooShortError(f"signal of {x.size} samples shorter than one frame ({frame})")
@@ -97,11 +97,11 @@ def wiener_gains(power: np.ndarray, alpha: float = ALPHA, noise_frames: int = NO
     [10^(gain_floor_db/20), 1].
     """
     if noise_frames < 1:
-        raise ValueError(f"noise_frames must be >= 1, got {noise_frames}")
+        raise ConfigError(f"noise_frames must be >= 1, got {noise_frames}")
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     if not gain_floor_db <= 0.0:
-        raise ValueError(f"gain_floor_db must be <= 0, got {gain_floor_db}")
+        raise ConfigError(f"gain_floor_db must be <= 0, got {gain_floor_db}")
     n_frames = power.shape[0]
     if n_frames <= noise_frames:
         raise TooShortError(

@@ -289,3 +289,37 @@ def reference_stats_oracle(disc, candidate, noisy):
             normed = gamma.data * (pre - mu) / np.sqrt(var + 1e-5) + beta.data
             t = eg.Tensor(np.where(normed > 0, normed, 0.3 * normed))
     return means, variances, h.shape[0]
+
+
+def vbn_composite(x, ref_mean, ref_var, n_ref, gamma, beta):
+    """Virtual batch norm built from elementwise engine nodes, one per
+    operation: the oracle the fused engine.virtual_batch_norm must match bit
+    for bit. Division and square root are local nodes, built like the
+    engine's own ops."""
+    from segan import engine as eg
+
+    def div(a, b):
+        def back(g):
+            eg._accum(a, eg._unbroadcast(g / b.data, a.data.shape))
+            eg._accum(b, eg._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return eg._make(a.data / b.data, (a, b), back)
+
+    def sqrt(v):
+        root = np.sqrt(v.data)
+
+        def back(g):
+            eg._accum(v, g * (0.5 / root))
+        return eg._make(root, (v,), back)
+
+    w_ref = n_ref / (n_ref + 1.0)
+    w_new = 1.0 / (n_ref + 1.0)
+    dt = x.data.dtype
+    ex_mean = x.mean_axis(1)
+    centered = eg.sub(x, ex_mean)
+    ex_var = eg.mul(centered, centered).mean_axis(1)
+    mu = eg.add(eg.Tensor((w_ref * ref_mean).astype(dt)),
+                eg.mul(ex_mean, eg.Tensor(np.asarray(w_new, dt))))
+    var = eg.add(eg.Tensor((w_ref * ref_var + eg.VBN_EPS).astype(dt)),
+                 eg.mul(ex_var, eg.Tensor(np.asarray(w_new, dt))))
+    norm = div(eg.sub(x, mu), sqrt(var))
+    return eg.add(eg.mul(norm, gamma), beta)

@@ -18,9 +18,9 @@ def test_every_op_passes_at_1e_4():
 
 def test_required_ops_are_covered():
     needed = {"conv1d_stride1", "conv1d_stride2", "conv1d_transpose", "conv1d_one_channel",
-              "conv1d_transpose_one_channel", "prelu",
-              "leaky_relu", "virtual_batch_norm", "linear", "tanh", "lsq_loss",
-              "l1_loss", "add", "sub", "mul", "div", "sqrt", "absolute",
+              "conv1d_transpose_one_channel", "prelu", "leaky_relu",
+              "virtual_batch_norm", "virtual_batch_norm_n_ref_1", "linear", "tanh",
+              "lsq_loss", "l1_loss", "add", "sub", "mul", "absolute",
               "mean", "sum", "mean_axis", "reshape", "concat_channels"}
     assert needed <= set(OP_CASES)
 
@@ -68,6 +68,12 @@ def test_detects_kink_disagreement():
 def test_negative_seed_is_rejected():
     with pytest.raises(ConfigError, match="seed"):
         check_all_ops(seed=-1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan")])
+def test_non_positive_eps_is_rejected(eps):
+    with pytest.raises(ConfigError, match="eps"):
+        check_all_ops(eps=eps)
 
 
 def test_seed_changes_draws_but_not_verdict():

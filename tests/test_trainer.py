@@ -219,14 +219,20 @@ def test_accum_steps_beyond_batch_size_clamps():
     assert np.isfinite(rep.g_l1)
 
 
-def test_gradient_accumulation_lowers_the_step_peak():
-    # reduced acceptance config, adversarial, batch 16
+def _reduced_adversarial():
+    """Models, optimizers and one batch-16 step's inputs at the reduced
+    acceptance config."""
     cfg = GeneratorConfig(window=1024, enc_channels=(16, 32, 64, 128), z_channels=128)
     gen, disc = build_generator(cfg, seed=0), build_discriminator(cfg, seed=1)
     noisy, clean = _batch(np.random.default_rng(0), n=16, window=1024)
     set_reference_batch(disc, clean, noisy)
     g_opt, d_opt = RMSprop(gen.parameters()), RMSprop(disc.parameters())
     z = sample_z(16, cfg.bottleneck_len, cfg.z_channels, seed=1)
+    return gen, disc, g_opt, d_opt, noisy, clean, z
+
+
+def test_gradient_accumulation_lowers_the_step_peak():
+    gen, disc, g_opt, d_opt, noisy, clean, z = _reduced_adversarial()
     peaks = {}
     for accum in (1, 2, 4):
         tracemalloc.start()
@@ -241,6 +247,21 @@ def test_gradient_accumulation_lowers_the_step_peak():
     # keeps falling with the micro-batch (0.37 of accum 1's at accum 4);
     # with every micro-batch's G graph alive through phase 3 it was 0.48
     assert peaks[4] < 0.42 * peaks[1], peaks
+
+
+def test_adversarial_step_peak_stays_below_42_mb():
+    # each D layer's graph keeps three arrays of its activation's size (conv,
+    # VBN and LeakyReLU outputs), about 34 MB in all; eight per layer read 55
+    gen, disc, g_opt, d_opt, noisy, clean, z = _reduced_adversarial()
+    tcfg = TrainConfig(epochs=1, accum_steps=1)
+    train_step(gen, disc, g_opt, d_opt, noisy, clean, z, tcfg, step=0)   # warm step
+    tracemalloc.start()
+    try:
+        train_step(gen, disc, g_opt, d_opt, noisy, clean, z, tcfg, step=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42e6, peak / 1e6
 
 
 def test_non_finite_loss_raises():

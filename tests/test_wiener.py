@@ -5,7 +5,7 @@ import pytest
 
 from segan.audio_io import Waveform
 from segan.dataset import mix_at_snr, synth_clean, synth_noise
-from segan.errors import InvalidWindowError, ShapeMismatchError, TooShortError, WrongRateError
+from segan.errors import ConfigError, ShapeMismatchError, TooShortError, WrongRateError
 from segan.metrics import ssnr
 from segan import wiener
 from segan.wiener import (Spectrogram, enhance_wiener, istft, stft,
@@ -91,7 +91,7 @@ def test_stft_validation():
     with pytest.raises(TooShortError):
         stft(_wave(np.zeros(100)), frame=512, hop=256)
     for hop in (0, -1, 513):
-        with pytest.raises(InvalidWindowError, match="hop"):
+        with pytest.raises(ConfigError, match="hop"):
             stft(_wave(np.zeros(1024)), frame=512, hop=hop)
     with pytest.raises(ShapeMismatchError):
         Spectrogram(np.zeros((4, 256), dtype=complex), 512, 256)
@@ -131,7 +131,7 @@ def test_gains_need_more_than_noise_frames():
     with pytest.raises(TooShortError):
         wiener_gains(np.ones((6, 9)))
     for n in (0, -1):
-        with pytest.raises(ValueError, match="noise_frames"):
+        with pytest.raises(ConfigError, match="noise_frames"):
             wiener_gains(np.ones((20, 9)), noise_frames=n)
 
 
