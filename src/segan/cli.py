@@ -352,6 +352,8 @@ def cmd_eval(v: dict) -> int:
 
 
 def cmd_gradcheck(v: dict) -> int:
+    if not 0 < v["tol"] < np.inf:
+        raise ConfigError(f"gradcheck.tol must be positive and finite, got {v['tol']}")
     results = check_all_ops(**_library_args(check_all_ops, v))
     failed = [name for name, err in results.items() if err >= v["tol"]]
     for name, err in results.items():

@@ -6,7 +6,9 @@ alone decides whether to record that node (gradients enabled and some parent
 requiring grad). A closure keeps only its parents' data and its own output.
 `backward(loss)` walks the recorded graph in reverse topological order and
 releases each recorded node's gradient once its closure has passed it on,
-so the walk holds a few gradients at a time, whatever the graph's depth.
+so the walk holds a few gradients at a time, whatever the graph's depth. A
+recorded node's first gradient is the array its child's closure made for
+it when that closure hands one over (see `_accum`), not a zeroed copy.
 Convention for conv-shaped data is (batch, length, channels); reductions
 and reshapes may produce other ranks.
 
@@ -58,7 +60,7 @@ class Tensor:
     report zero gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -159,12 +161,24 @@ def _make(data: np.ndarray, parents, back) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g to t.grad. A closure passes owned=True only for an array it made
+    in this call and hands to no other tensor; a recorded node without a
+    gradient then keeps that array, if it is whole, writeable and of the
+    node's shape and dtype, instead of a zeroed copy plus an add. A leaf's
+    gradient is read by callers, so it always starts zeroed: 0.0 + -0.0 is
+    +0.0, and a kept array may hold -0.0 there. A node's gradient is read only
+    by its own closure, and the sign of a zero there reaches no leaf."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif (owned and t._backward is not None and g.base is None and g.flags.writeable
+          and g.shape == t.data.shape and g.dtype == t.data.dtype):
+        t.grad = g
+    else:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -198,14 +212,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
     return _make(a.data - b.data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
     return _make(a.data * b.data, (a, b), back)
 
 
@@ -213,14 +227,14 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def back(g):
-        _accum(x, g * (1.0 - y * y))
+        _accum(x, g * (1.0 - y * y), owned=True)
     return _make(y, (x,), back)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at x == 0 (np.sign convention)."""
     def back(g):
-        _accum(x, g * np.sign(x.data))
+        _accum(x, g * np.sign(x.data), owned=True)
     return _make(np.abs(x.data), (x,), back)
 
 
@@ -250,11 +264,16 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         y[..., outside] = np.where(xo > 0, xo, a[outside] * xo)
 
     def back(g):
+        # one array per gradient, multiplied by g in place; the scalars carry
+        # g's dtype, so each array has the dtype of its product with g
         pos = x.data > 0
-        _accum(x, g * np.where(pos, 1.0, a))
+        gx = np.where(pos, g.dtype.type(1), a)
+        gx *= g
+        _accum(x, gx, owned=True)
         if slopes.requires_grad:
-            neg_part = np.where(pos, 0.0, x.data) * g
-            _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))))
+            neg_part = np.where(pos, g.dtype.type(0), x.data)
+            neg_part *= g
+            _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))), owned=True)
     return _make(y, (x, slopes), back)
 
 
@@ -285,10 +304,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y = y + b.data
 
     def back(g):
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        _accum(x, g @ w.data.T, owned=True)
+        _accum(w, x.data.T @ g, owned=True)
         if b is not None:
-            _accum(b, g.sum(axis=0))
+            _accum(b, g.sum(axis=0), owned=True)
     return _make(y, (x, w, b), back)
 
 
@@ -409,13 +428,26 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
 
 
 def _tap_grad(long: np.ndarray, short: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Gradient of <short, _correlate(long, w)> with respect to w."""
+    """Gradient of <short, _correlate(long, w)> with respect to w, written in
+    w's (width * C_long, C_short) layout. The first block's product is the
+    result; each later block's is added a slice of rows at a time, a slice
+    at most an eighth of the block bound, so the scratch beside the result
+    is one column block and one slice."""
     width, c_long, c_short = w.shape
+    k = width * c_long
     cols = _columns(long, stride, short.shape[1], width)
-    gw = np.zeros((c_short, width * c_long), dtype=w.dtype)
-    for ex, pos in _blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize, w.nbytes):
-        gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
-    return gw.T.reshape(width, c_long, c_short)
+    step = max(1, max(_BLOCK_BYTES, w.nbytes) // 8 // (c_short * w.itemsize))
+    gw = None
+    for ex, pos in _blocks(long.shape[0], short.shape[1], k * long.itemsize, w.nbytes):
+        blk = cols[ex, pos].reshape(-1, k)
+        s = short[ex, pos].reshape(-1, c_short)
+        if gw is None:
+            gw = blk.T @ s
+        else:
+            for r in range(0, k, step):
+                gw[r:r + step] += blk[:, r:r + step].T @ s
+        del blk     # before the next block's columns are copied
+    return gw.reshape(width, c_long, c_short)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Tensor:
@@ -463,7 +495,7 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
         if w.requires_grad:
             _accum(w, _tap_grad(gp, y.data, w.data, stride))
         if y.requires_grad:
-            _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype))
+            _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype), owned=True)
     return _make(res, (y, w, b), back)
 
 
@@ -504,8 +536,8 @@ def _centered_second_moment(x: Tensor, m: Tensor) -> Tensor:
         c = x.data - m.data
         c *= g / n
         c += c
-        _accum(x, c)
-        _accum(m, -c.sum(axis=1, keepdims=True))
+        _accum(m, -c.sum(axis=1, keepdims=True), owned=True)
+        _accum(x, c, owned=True)
     return _make(np.mean(c, axis=1, keepdims=True), (x, m), back)
 
 
@@ -522,15 +554,15 @@ def _normalize(x: Tensor, mu: Tensor, var: Tensor, gamma: Tensor, beta: Tensor) 
         xm = x.data - mu.data
         t = xm / s
         t *= g
-        _accum(gamma, t.sum(axis=(0, 1)))
-        _accum(beta, g.sum(axis=(0, 1)))
+        _accum(gamma, t.sum(axis=(0, 1)), owned=True)
+        _accum(beta, g.sum(axis=(0, 1)), owned=True)
         np.multiply(g, gamma.data, out=t)           # gradient of the normalized x
         xm *= t
         xm /= s * s
-        _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s))
+        _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s), owned=True)
         t /= s                                      # gradient of x - mu
-        _accum(mu, -t.sum(axis=1, keepdims=True))
-        _accum(x, t)
+        _accum(mu, -t.sum(axis=1, keepdims=True), owned=True)
+        _accum(x, t, owned=True)
     return _make(y, (x, mu, var, gamma, beta), back)
 
 

@@ -13,6 +13,10 @@ micro-batch's graph at a time (recomputation, Chen et al. 2016): one more
 generator forward per adversarial step buys a peak set by one
 micro-batch, not the whole batch. G does not change between the phases,
 so the rebuilt fakes equal phase 2's bit for bit.
+
+No loss graph outlives its backward: each micro-batch's graph, in both D
+updates and in phase 3, dies before the next one is built, and none is
+held past the update that built it.
 """
 
 from __future__ import annotations
@@ -118,20 +122,20 @@ def _frozen(params):
 
 
 def _d_step(disc: Discriminator, d_opt: RMSprop, candidates: list[Tensor],
-            noisy_t: list[Tensor], target: float, step: int,
-            name: str) -> tuple[float, Tensor]:
+            noisy_t: list[Tensor], target: float, step: int, name: str) -> float:
     """One least-squares D update: score every micro-batch's (candidate, noisy)
     pairs toward `target`, sum the gradients, check the mean loss finite, step.
-    Returns the mean loss and the last micro-batch's loss node."""
+    Returns the mean loss; no graph outlives the call."""
     d_opt.zero_grad()
     vals = []
     for cand, nt in zip(candidates, noisy_t):
         loss = eg.lsq_loss(d_forward(disc, cand, nt), target)
         backward(loss)
         vals.append(loss.item())
+        del loss        # this micro-batch's graph dies before the next is built
     mean = _finite_mean(step, name, vals)
     d_opt.step()
-    return mean, loss
+    return mean
 
 
 def train_step(gen: Generator, disc: Discriminator | None,
@@ -160,10 +164,7 @@ def train_step(gen: Generator, disc: Discriminator | None,
     lam = Tensor(np.asarray(cfg.lambda_l1, np.float32))
 
     if cfg.adversarial:
-        # `held` keeps each D update's last graph until the next is built (the
-        # second to the step's end): freed at once, its pages are faulted in
-        # again by the next phase (2.4x the minor faults, +9% train-adv rtf).
-        d_real, held = _d_step(disc, d_opt, clean_t, noisy_t, 1.0, step, "d_real")
+        d_real = _d_step(disc, d_opt, clean_t, noisy_t, 1.0, step, "d_real")
 
     # one micro-batch: its G graph is built here and reused in phase 3;
     # several: phase 2 needs G's output alone (L1 mode not even that)
@@ -174,14 +175,14 @@ def train_step(gen: Generator, disc: Discriminator | None,
             fakes = [g_forward(gen, nt, zt) for nt, zt in zip(noisy_t, z_t)]
 
     if cfg.adversarial:
-        d_fake, held = _d_step(disc, d_opt, [f.detach() for f in fakes], noisy_t, 0.0,
-                               step, "d_fake")
+        d_fake = _d_step(disc, d_opt, [f.detach() for f in fakes], noisy_t, 0.0, step, "d_fake")
 
     g_opt.zero_grad()
     adv_vals, l1_vals = [], []
     with _frozen(disc.parameters() if cfg.adversarial else []):
-        for i, (nt, ct) in enumerate(zip(noisy_t, clean_t)):
-            fake = fakes[i] if reuse else g_forward(gen, nt, z_t[i])
+        for nt, ct, zt in zip(noisy_t, clean_t, z_t):
+            # pop: the reused graph must not outlive its backward in `fakes`
+            fake = fakes.pop() if reuse else g_forward(gen, nt, zt)
             l1 = eg.l1_loss(fake, ct)
             total = eg.mul(l1, lam)
             if cfg.adversarial:
@@ -190,6 +191,8 @@ def train_step(gen: Generator, disc: Discriminator | None,
                 adv_vals.append(adv.item())
             backward(total)
             l1_vals.append(l1.item())
+            # this micro-batch's graph dies before the next is built
+            fake = l1 = total = adv = None
     if adv_vals:
         g_adv = _finite_mean(step, "g_adv", adv_vals)
     g_l1 = _finite_mean(step, "g_l1", l1_vals)

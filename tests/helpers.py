@@ -105,6 +105,38 @@ def conv1d_weight_grad_oracle(x, g, width, stride):
     return gw
 
 
+def reduced_adversarial():
+    """Models, optimizers and one batch-16 step's inputs at the reduced
+    acceptance config (the train-adv workload's shapes)."""
+    from segan.engine import sample_z
+    from segan.model import (GeneratorConfig, build_discriminator, build_generator,
+                             set_reference_batch)
+    from segan.optim import RMSprop
+    cfg = GeneratorConfig(window=1024, enc_channels=(16, 32, 64, 128), z_channels=128)
+    gen, disc = build_generator(cfg, seed=0), build_discriminator(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    noisy, clean = (rng.uniform(-0.5, 0.5, (16, 1024)).astype(np.float32) for _ in range(2))
+    set_reference_batch(disc, clean, noisy)
+    g_opt, d_opt = RMSprop(gen.parameters()), RMSprop(disc.parameters())
+    z = sample_z(16, cfg.bottleneck_len, cfg.z_channels, seed=1)
+    return gen, disc, g_opt, d_opt, noisy, clean, z
+
+
+def tap_grad_oracle(long, short, w, stride):
+    """The weight-gradient kernel as it was written before it built w's
+    layout: (C_short, width * C_long) products summed block by block into a
+    zeroed accumulator, transposed at the end. The engine's kernel must
+    match it bit for bit on the same blocks."""
+    from segan import engine as eg
+    width, c_long, c_short = w.shape
+    cols = eg._columns(long, stride, short.shape[1], width)
+    gw = np.zeros((c_short, width * c_long), dtype=w.dtype)
+    for ex, pos in eg._blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize,
+                              w.nbytes):
+        gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
+    return gw.T.reshape(width, c_long, c_short)
+
+
 def archive_bytes(entries, version=2, count=None):
     """A tensor archive built by hand from (name bytes, shape, payload bytes
     or None) entries: "SGN<version>", the tensor count (`count` overrides

@@ -416,6 +416,8 @@ _INPUTS = {
     ("enhance-wiener", "alpha", "-0.1"),
     ("enhance-wiener", "gain_floor_db", "3"),
     ("gradcheck", "eps", "0"),
+    ("gradcheck", "tol", "nan"),
+    ("gradcheck", "tol", "-1"),
     ("synth-data", "kinds", ""),
     ("synth-data", "snrs", ""),
     ("synth-data", "snrs", "nan"),

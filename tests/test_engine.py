@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (conv1d_oracle, conv1d_transpose_oracle, conv1d_weight_grad_oracle,
-                     vbn_composite)
+                     reduced_adversarial, tap_grad_oracle, vbn_composite)
 
 from segan import engine as eg
 from segan.engine import Parameter, Tensor, backward, no_grad, sample_z
@@ -351,6 +351,66 @@ def test_conv_kernels_repeat_bitwise_in_float32(length, width, stride, c_long, c
         assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
+def _train_adv_tap_shapes():
+    """(long, short, weight) shapes and stride of every weight-gradient call
+    in one reduced adversarial step at batch 16 (the train-adv workload)."""
+    from segan.trainer import TrainConfig, train_step
+    shapes, tap_grad = set(), eg._tap_grad
+
+    def spy(long, short, w, stride):
+        shapes.add((long.shape, short.shape, w.shape, stride))
+        return tap_grad(long, short, w, stride)
+    eg._tap_grad = spy
+    try:
+        train_step(*reduced_adversarial(), TrainConfig(epochs=1))
+    finally:
+        eg._tap_grad = tap_grad
+    return sorted(shapes)
+
+
+def test_weight_gradient_is_bitwise_the_transposed_product(monkeypatch):
+    shapes = _train_adv_tap_shapes()
+    assert len(shapes) >= 10
+    regimes = set()
+    rng = np.random.default_rng(11)
+    for block_bytes in (None, 1, 1 << 40):
+        if block_bytes is not None:
+            monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+        for long_shape, short_shape, w_shape, stride in shapes:
+            long = rng.standard_normal(long_shape).astype(np.float32)
+            short = rng.standard_normal(short_shape).astype(np.float32)
+            w = np.empty(w_shape, np.float32)
+            blocks = eg._blocks(long_shape[0], short_shape[1],
+                                w_shape[0] * w_shape[1] * 4, w.nbytes)
+            regimes.add("one" if len(blocks) == 1 else _regime(blocks, short_shape[1]))
+            got = eg._tap_grad(long, short, w, stride)
+            assert got.shape == w_shape and got.dtype == np.float32
+            assert got.tobytes() == tap_grad_oracle(long, short, w, stride).tobytes(), (
+                block_bytes, long_shape, short_shape)
+    assert regimes == {"one", "whole", "runs", "position"}
+
+
+def test_weight_gradient_scratch_is_one_column_block():
+    # g.dec4 at train-adv: 2 MB weights, four blocks of four examples; the old
+    # form's zeroed accumulator, product and transposed copy peaked at 6 MB
+    long_shape, short_shape, w_shape, stride = (16, 157, 64), (16, 64, 256), (31, 64, 256), 2
+    rng = np.random.default_rng(12)
+    long = rng.standard_normal(long_shape).astype(np.float32)
+    short = rng.standard_normal(short_shape).astype(np.float32)
+    w = np.empty(w_shape, np.float32)
+    row_bytes = w_shape[0] * w_shape[1] * 4
+    blocks = eg._blocks(long_shape[0], short_shape[1], row_bytes, w.nbytes)
+    assert len(blocks) > 1
+    block = max((ex.stop - ex.start) * (pos.stop - pos.start) * row_bytes for ex, pos in blocks)
+    tracemalloc.start()
+    try:
+        eg._tap_grad(long, short, w, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (w.nbytes + block), (peak, w.nbytes, block)
+
+
 def test_conv1d_identity_kernel():
     x = Tensor(np.random.default_rng(2).standard_normal((2, 9, 3)))
     w = Tensor(np.eye(3)[None, :, :])
@@ -597,6 +657,78 @@ def test_backward_twice_over_one_graph_adds_the_gradient_once_more():
     nodes = _recorded(loss)
     assert len(nodes) == 5
     assert all(node.grad is None for node in nodes)
+
+
+# Graphs for the gradient-ownership rule: add(a, b) hands one upstream
+# array to two parents, add(x, x) and sub(x, x) reach one tensor twice, and
+# concat, reshape and mean_axis hand views. `t` returns a leaf, or a tanh
+# node over one, so each op meets leaves and recorded nodes alike.
+OWNERSHIP_GRAPHS = {
+    "add": lambda t: eg.add(t("a", (3, 4, 5)), t("b", (3, 4, 5))),
+    "add_self": lambda t: (lambda x: eg.add(x, x))(t("x", (3, 4, 5))),
+    "sub_self": lambda t: (lambda x: eg.sub(x, x))(t("x", (3, 4, 5))),
+    "concat": lambda t: eg.concat_channels(t("a", (3, 4, 2)), t("b", (3, 4, 3))),
+    "reshape": lambda t: t("x", (3, 4, 5)).reshape(12, 5),
+    "mean_axis": lambda t: t("x", (3, 4, 5)).mean_axis(1),
+    # one tensor reached by two ops, each handing it an array it made (signed
+    # zeros included: the product passes them on, where add would zero-fill)
+    "two_ops": lambda t: (lambda x: eg.mul(eg.mul(x, t("c", (3, 4, 5), False)), eg.tanh(x)))(
+        t("x", (3, 4, 5))),
+}
+
+
+def _ownership_run(graph, dtype, nodes, seen=None):
+    """Build `graph`, weight it twice by arrays holding +0.0, -0.0 and
+    nonzeros (periods 4 and 6, so their products hold both zeros too),
+    backprop, and return the leaves. `seen` collects (node, gradient) as
+    each recorded node's closure runs."""
+    rng = np.random.default_rng(7)
+    leaves = []
+
+    def t(name, shape, grad=True):
+        leaf = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=grad)
+        if not grad:
+            return leaf
+        leaves.append(leaf)
+        return eg.tanh(leaf) if nodes else leaf
+    out = graph(t)
+    w1, w2 = (Tensor(np.resize(np.array(v, dtype), out.shape))
+              for v in ([0.0, -0.0, -1.5, 2.0], [-0.0, 0.0, -1.5, 2.0, 1.0, -1.0]))
+    loss = eg.mul(eg.mul(out, w1), w2).sum()
+    if seen is not None:
+        for node in _recorded(loss):
+            node._backward = (lambda f, n: lambda g: (seen.append((n, g)), f(g)))(
+                node._backward, node)
+    backward(loss)
+    return leaves
+
+
+def _zero_filled_accum(t, g, owned=False):
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g
+
+
+@pytest.mark.parametrize("nodes", [False, True], ids=["leaves", "nodes"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(OWNERSHIP_GRAPHS))
+def test_kept_gradients_equal_the_zero_filled_sums(monkeypatch, name, dtype, nodes):
+    seen = []
+    leaves = _ownership_run(OWNERSHIP_GRAPHS[name], dtype, nodes, seen)
+    with monkeypatch.context() as m:
+        m.setattr(eg, "_accum", _zero_filled_accum)
+        want = _ownership_run(OWNERSHIP_GRAPHS[name], dtype, nodes)
+    for leaf, ref in zip(leaves, want):
+        assert leaf.grad.tobytes() == ref.grad.tobytes(), name
+    grads = [(leaf, leaf.grad) for leaf in leaves] + seen
+    for i, (t, g) in enumerate(grads):
+        assert g.shape == t.shape and g.dtype == t.dtype, name
+        for _, h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), name
+    # a node kept the -0.0 a multiplication made, which a zeroed sum turns
+    # into +0.0; the leaves below still match that sum byte for byte
+    assert any(np.any((g == 0) & np.signbit(g)) for _, g in seen), name
 
 
 @pytest.mark.parametrize("depth", [10, 40])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segan import engine as eg
+from segan import gradcheck
 from segan.engine import Parameter
 from segan.errors import ConfigError
 from segan.gradcheck import OP_CASES, check_all_ops, grad_check
@@ -81,3 +82,12 @@ def test_seed_changes_draws_but_not_verdict():
     b = check_all_ops(seed=1)
     assert a.keys() == b.keys()
     assert all(err < 1e-4 for err in b.values())
+
+
+def test_each_case_draws_its_data_from_its_name(monkeypatch):
+    # deleting the first case once redrew the data of every case after it
+    full = check_all_ops(seed=0)
+    monkeypatch.setattr(gradcheck, "OP_CASES",
+                        {k: v for k, v in OP_CASES.items() if k != "add"})
+    fewer = check_all_ops(seed=0)
+    assert fewer == {k: v for k, v in full.items() if k != "add"}
