@@ -5,10 +5,9 @@ parents and a closure that routes the upstream gradient back to them; `_make`
 alone decides whether to record that node (gradients enabled and some parent
 requiring grad). A closure keeps only its parents' data and its own output.
 `backward(loss)` walks the recorded graph in reverse topological order and
-releases each recorded node's gradient once its closure has passed it on,
-so the walk holds a few gradients at a time, whatever the graph's depth. A
-recorded node's first gradient is the array its child's closure made for
-it when that closure hands one over (see `_accum`), not a zeroed copy.
+hands each recorded node's gradient to its closure read-only, then releases
+it, so the walk holds a few gradients at a time, whatever the graph's depth;
+a node's first gradient is the whole array a closure made for it (`_accum`).
 Convention for conv-shaped data is (batch, length, channels); reductions
 and reshapes may produce other ranks.
 
@@ -161,19 +160,18 @@ def _make(data: np.ndarray, parents, back) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g to t.grad. A closure passes owned=True only for an array it made
-    in this call and hands to no other tensor; a recorded node without a
-    gradient then keeps that array, if it is whole, writeable and of the
-    node's shape and dtype, instead of a zeroed copy plus an add. A leaf's
-    gradient is read by callers, so it always starts zeroed: 0.0 + -0.0 is
-    +0.0, and a kept array may hold -0.0 there. A node's gradient is read only
-    by its own closure, and the sign of a zero there reaches no leaf."""
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad. A recorded node without a gradient keeps g itself, not
+    a zeroed copy plus an add, when g is whole, writeable and of the node's
+    shape and dtype: an array a closure just made and hands to it alone, never
+    the read-only gradient `backward` gave the closure or a view of it. A leaf's
+    gradient is read by callers, so it starts zeroed: 0.0 + -0.0 is +0.0, a kept
+    array may hold -0.0 there, and a node's zero signs reach no leaf."""
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad += g
-    elif (owned and t._backward is not None and g.base is None and g.flags.writeable
+    elif (t._backward is not None and g.base is None and g.flags.writeable
           and g.shape == t.data.shape and g.dtype == t.data.dtype):
         t.grad = g
     else:
@@ -212,14 +210,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
+        _accum(b, _unbroadcast(-g, b.data.shape))
     return _make(a.data - b.data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
     return _make(a.data * b.data, (a, b), back)
 
 
@@ -227,14 +225,14 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def back(g):
-        _accum(x, g * (1.0 - y * y), owned=True)
+        _accum(x, g * (1.0 - y * y))
     return _make(y, (x,), back)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x| with subgradient 0 at x == 0 (np.sign convention)."""
     def back(g):
-        _accum(x, g * np.sign(x.data), owned=True)
+        _accum(x, g * np.sign(x.data))
     return _make(np.abs(x.data), (x,), back)
 
 
@@ -269,11 +267,11 @@ def prelu(x: Tensor, slopes: Tensor) -> Tensor:
         pos = x.data > 0
         gx = np.where(pos, g.dtype.type(1), a)
         gx *= g
-        _accum(x, gx, owned=True)
+        _accum(x, gx)
         if slopes.requires_grad:
             neg_part = np.where(pos, g.dtype.type(0), x.data)
             neg_part *= g
-            _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))), owned=True)
+            _accum(slopes, neg_part.sum(axis=tuple(range(x.data.ndim - 1))))
     return _make(y, (x, slopes), back)
 
 
@@ -289,8 +287,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     ca = a.data.shape[-1]
 
     def back(g):
-        _accum(a, g[..., :ca])
-        _accum(b, g[..., ca:])
+        for p, part in ((a, g[..., :ca]), (b, g[..., ca:])):
+            if p.requires_grad:
+                _accum(p, part.copy())      # whole, so a recorded parent keeps it
     return _make(np.concatenate([a.data, b.data], axis=-1), (a, b), back)
 
 
@@ -304,10 +303,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y = y + b.data
 
     def back(g):
-        _accum(x, g @ w.data.T, owned=True)
-        _accum(w, x.data.T @ g, owned=True)
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
         if b is not None:
-            _accum(b, g.sum(axis=0), owned=True)
+            _accum(b, g.sum(axis=0))
     return _make(y, (x, w, b), back)
 
 
@@ -470,7 +469,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
             _accum(w, _tap_grad(_pad(x.data, pad_total, pad_left), g, w.data, stride))
         if x.requires_grad:
             gxp = _scatter(g, w.data, stride, length + pad_total, x.data.dtype)
-            _accum(x, gxp[:, pad_left:pad_left + length])
+            _accum(x, gxp[:, pad_left:pad_left + length].copy())   # whole, so a recorded x keeps it
     return _make(y, (x, w, b), back)
 
 
@@ -495,7 +494,7 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
         if w.requires_grad:
             _accum(w, _tap_grad(gp, y.data, w.data, stride))
         if y.requires_grad:
-            _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype), owned=True)
+            _accum(y, _correlate(gp, w.data, stride, y.data.shape[1], y.data.dtype))
     return _make(res, (y, w, b), back)
 
 
@@ -536,8 +535,8 @@ def _centered_second_moment(x: Tensor, m: Tensor) -> Tensor:
         c = x.data - m.data
         c *= g / n
         c += c
-        _accum(m, -c.sum(axis=1, keepdims=True), owned=True)
-        _accum(x, c, owned=True)
+        _accum(m, -c.sum(axis=1, keepdims=True))
+        _accum(x, c)
     return _make(np.mean(c, axis=1, keepdims=True), (x, m), back)
 
 
@@ -554,15 +553,15 @@ def _normalize(x: Tensor, mu: Tensor, var: Tensor, gamma: Tensor, beta: Tensor) 
         xm = x.data - mu.data
         t = xm / s
         t *= g
-        _accum(gamma, t.sum(axis=(0, 1)), owned=True)
-        _accum(beta, g.sum(axis=(0, 1)), owned=True)
+        _accum(gamma, t.sum(axis=(0, 1)))
+        _accum(beta, g.sum(axis=(0, 1)))
         np.multiply(g, gamma.data, out=t)           # gradient of the normalized x
         xm *= t
         xm /= s * s
-        _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s), owned=True)
+        _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s))
         t /= s                                      # gradient of x - mu
-        _accum(mu, -t.sum(axis=1, keepdims=True), owned=True)
-        _accum(x, t, owned=True)
+        _accum(mu, -t.sum(axis=1, keepdims=True))
+        _accum(x, t)
     return _make(y, (x, mu, var, gamma, beta), back)
 
 
@@ -609,6 +608,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
+            node.grad.flags.writeable = False
             node._backward(node.grad)
             node.grad = None
 

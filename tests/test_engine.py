@@ -660,9 +660,10 @@ def test_backward_twice_over_one_graph_adds_the_gradient_once_more():
 
 
 # Graphs for the gradient-ownership rule: add(a, b) hands one upstream
-# array to two parents, add(x, x) and sub(x, x) reach one tensor twice, and
-# concat, reshape and mean_axis hand views. `t` returns a leaf, or a tanh
-# node over one, so each op meets leaves and recorded nodes alike.
+# array to two parents, add(x, x) and sub(x, x) reach one tensor twice,
+# reshape and mean_axis hand views, and the ops from concat on hand over
+# arrays they made, which recorded parents keep. `t` returns a leaf, or a
+# tanh node over one, so each op meets leaves and recorded nodes alike.
 OWNERSHIP_GRAPHS = {
     "add": lambda t: eg.add(t("a", (3, 4, 5)), t("b", (3, 4, 5))),
     "add_self": lambda t: (lambda x: eg.add(x, x))(t("x", (3, 4, 5))),
@@ -674,6 +675,14 @@ OWNERSHIP_GRAPHS = {
     # zeros included: the product passes them on, where add would zero-fill)
     "two_ops": lambda t: (lambda x: eg.mul(eg.mul(x, t("c", (3, 4, 5), False)), eg.tanh(x)))(
         t("x", (3, 4, 5))),
+    "conv1d": lambda t: eg.conv1d(t("x", (2, 9, 2)), t("w", (5, 2, 3)), t("b", (3,))),
+    "conv1d_transpose": lambda t: eg.conv1d_transpose(
+        t("y", (2, 5, 3)), t("w", (5, 2, 3)), t("b", (2,))),
+    "prelu": lambda t: eg.prelu(t("x", (3, 4, 5)), t("s", (5,))),
+    "linear": lambda t: eg.linear(t("x", (3, 4)), t("w", (4, 5)), t("b", (5,))),
+    "virtual_batch_norm": lambda t: eg.virtual_batch_norm(
+        t("x", (3, 4, 5)), np.linspace(-0.5, 0.5, 5), np.linspace(0.5, 1.5, 5), 2,
+        t("gamma", (5,)), t("beta", (5,))),
 }
 
 
@@ -703,7 +712,7 @@ def _ownership_run(graph, dtype, nodes, seen=None):
     return leaves
 
 
-def _zero_filled_accum(t, g, owned=False):
+def _zero_filled_accum(t, g):
     if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
@@ -729,6 +738,30 @@ def test_kept_gradients_equal_the_zero_filled_sums(monkeypatch, name, dtype, nod
     # a node kept the -0.0 a multiplication made, which a zeroed sum turns
     # into +0.0; the leaves below still match that sum byte for byte
     assert any(np.any((g == 0) & np.signbit(g)) for _, g in seen), name
+
+
+def test_a_closure_cannot_write_into_its_upstream_gradient():
+    x = Tensor(np.ones(4), requires_grad=True)
+
+    def back(g):
+        g *= 2.0
+        eg._accum(x, g)
+    y = eg._make(x.data.copy(), (x,), back)
+    with pytest.raises(ValueError, match="read-only"):
+        backward(eg.mul(y, Tensor(np.full(4, 3.0))).sum())
+    # add passes its gradient on unchanged; both parents are recorded nodes,
+    # which keep a whole writeable array, so each must get a zero-filled sum
+    rng = np.random.default_rng(0)
+    a, b = (eg.tanh(Tensor(rng.standard_normal(4), requires_grad=True)) for _ in range(2))
+    s = eg.add(a, b)
+    after = []
+    add_back = s._backward
+    s._backward = lambda g: (add_back(g), after.append((g, a.grad, b.grad)))
+    backward(eg.mul(s, Tensor(np.full(4, -1.5))).sum())
+    (g, ga, gb), = after
+    assert np.array_equal(ga, g) and np.array_equal(gb, g)
+    for u, v in ((ga, g), (gb, g), (ga, gb)):
+        assert not np.shares_memory(u, v)
 
 
 @pytest.mark.parametrize("depth", [10, 40])
