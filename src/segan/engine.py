@@ -236,11 +236,6 @@ def absolute(x: Tensor) -> Tensor:
     return _make(np.abs(x.data), (x,), back)
 
 
-def leaky_relu(x: Tensor) -> Tensor:
-    """prelu with every channel's slope fixed at LEAKY_ALPHA."""
-    return prelu(x, Tensor(np.full(x.data.shape[-1], LEAKY_ALPHA, x.data.dtype)))
-
-
 def prelu(x: Tensor, slopes: Tensor) -> Tensor:
     """Rectifier with a trainable negative-side slope per channel.
 
@@ -304,8 +299,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def back(g):
         _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        if b is not None:
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=0))
     return _make(y, (x, w, b), back)
 
@@ -463,7 +459,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
 
     def back(g):
         # the padded input is rebuilt, not kept: it would live as long as the graph
-        if b is not None:
+        if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 1)))
         if w.requires_grad:
             _accum(w, _tap_grad(_pad(x.data, pad_total, pad_left), g, w.data, stride))
@@ -488,7 +484,7 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
     res = res + b.data if b is not None else res.copy()
 
     def back(g):
-        if b is not None:
+        if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 1)))
         gp = _pad(g, pad_total, pad_left)
         if w.requires_grad:
@@ -505,14 +501,14 @@ def conv1d_transpose(y: Tensor, w: Tensor, b: Tensor | None = None, stride: int 
 def virtual_batch_norm(x: Tensor, ref_mean: np.ndarray, ref_var: np.ndarray,
                        n_ref: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each example with reference-batch stats blended 1/(n_ref+1)
-    with the example's own per-channel stats.
+    with the example's own per-channel stats, then apply the LeakyReLU.
 
     ref_mean/ref_var are frozen arrays (no gradient); gamma/beta are
     per-channel trainables of x's dtype. Six small nodes on (B, 1, C)
     statistics feed one normalize node, so the graph keeps no array of x's
     shape but the output. Each node repeats, in order, the float operations
-    of the same formula built from elementwise nodes, so values and
-    gradients carry that composite's bits.
+    of the same formula built from elementwise nodes and a prelu, so values
+    and gradients carry that composite's bits.
     """
     w_ref = n_ref / (n_ref + 1.0)
     dt = x.data.dtype
@@ -541,27 +537,31 @@ def _centered_second_moment(x: Tensor, m: Tensor) -> Tensor:
 
 
 def _normalize(x: Tensor, mu: Tensor, var: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """(x - mu) / sqrt(var) * gamma + beta; mu and var are (B, 1, C).
-    Backward negates after summing, as -sum(a) == sum(-a) bit for bit."""
+    """max(v, LEAKY_ALPHA * v) of v = (x - mu) / sqrt(var) * gamma + beta, mu
+    and var (B, 1, C). Backward takes the rectifier's mask from the output
+    (exact for slopes in (0, 1)), and negates after summing (bit-exact)."""
     y = x.data - mu.data
     y /= np.sqrt(var.data)
     y *= gamma.data
     y += beta.data
+    np.maximum(y, LEAKY_ALPHA * y, out=y)
 
     def back(g):
+        gy = np.where(y > 0, g.dtype.type(1), g.dtype.type(LEAKY_ALPHA))
+        gy *= g                                     # gradient of the rectifier's input
         s = np.sqrt(var.data)
+        if gamma.requires_grad:     # numpy reuses this line's temporaries in place
+            _accum(gamma, ((x.data - mu.data) / s * gy).sum(axis=(0, 1)))
+        if beta.requires_grad:
+            _accum(beta, gy.sum(axis=(0, 1)))
+        gy *= gamma.data                            # gradient of the normalized x
         xm = x.data - mu.data
-        t = xm / s
-        t *= g
-        _accum(gamma, t.sum(axis=(0, 1)))
-        _accum(beta, g.sum(axis=(0, 1)))
-        np.multiply(g, gamma.data, out=t)           # gradient of the normalized x
-        xm *= t
+        xm *= gy
         xm /= s * s
         _accum(var, -xm.sum(axis=1, keepdims=True) * (0.5 / s))
-        t /= s                                      # gradient of x - mu
-        _accum(mu, -t.sum(axis=1, keepdims=True))
-        _accum(x, t)
+        gy /= s                                     # gradient of x - mu
+        _accum(mu, -gy.sum(axis=1, keepdims=True))
+        _accum(x, gy)
     return _make(y, (x, mu, var, gamma, beta), back)
 
 

@@ -108,11 +108,6 @@ def _case_reshape(rng):
     return lambda: _projected(x.reshape(12, 10), np.random.default_rng(1)), [x]
 
 
-def _case_leaky_relu(rng):
-    x = Parameter("x", _away_from_zero(rng, (2, 20, 3)))
-    return lambda: _projected(eg.leaky_relu(x), np.random.default_rng(1)), [x]
-
-
 def _case_prelu(rng):
     x = Parameter("x", _away_from_zero(rng, (2, 20, 3)))
     a = Parameter("a", rng.uniform(0.1, 0.6, (3,)))
@@ -156,12 +151,18 @@ def _case_conv1d_transpose_one_channel(rng):
     return lambda: _projected(eg.conv1d_transpose(y, w, b, stride=2), np.random.default_rng(1)), [y, w, b]
 
 
-def _case_vbn(rng, n_ref):
+def _case_vbn(rng, n_ref, off_kink=False):
     x = _param(rng, "x", (2, 20, 3))
     gamma = Parameter("gamma", rng.uniform(0.5, 1.5, (3,)))
     beta = _param(rng, "beta", (3,))
     ref_mean = rng.standard_normal(3)
     ref_var = rng.uniform(0.5, 1.5, 3)
+    if off_kink:
+        # zero-mean channels 0.3 or more from 0, small beta: no output near the kink
+        half = _away_from_zero(rng, (2, 10, 3))
+        x.data[:] = np.concatenate([half, -half], axis=1)
+        ref_mean[:] = 0.0
+        beta.data *= 0.02
 
     def loss():
         out = eg.virtual_batch_norm(x, ref_mean, ref_var, n_ref, gamma, beta)
@@ -190,7 +191,7 @@ OP_CASES = {
     "sum": _case_sum,
     "mean_axis": _case_mean_axis,
     "reshape": _case_reshape,
-    "leaky_relu": _case_leaky_relu,
+    "leaky_relu": partial(_case_vbn, n_ref=16, off_kink=True),   # VBN's rectifier
     "prelu": _case_prelu,
     "concat_channels": _case_concat,
     "linear": _case_linear,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine as eg
 from .checkpoint import load_tensors, save_tensors
-from .engine import VBN_EPS, Parameter, Tensor, no_grad
+from .engine import LEAKY_ALPHA, VBN_EPS, Parameter, Tensor, no_grad
 from .errors import (
     ConfigError,
     CorruptCheckpointError,
@@ -168,7 +168,7 @@ def _as_bwc(x, window: int) -> Tensor:
 def g_forward(gen: Generator, noisy, z: Tensor) -> Tensor:
     """Enhance a batch of windows. noisy: (B, window, 1); z matches the
     bottleneck (B, bottleneck_len, z_channels); output (B, window, 1) in
-    (-1, 1).
+    (-1, 1). Each skip is popped at its concat, so only a graph keeps it.
     """
     cfg = gen.cfg
     x = _as_bwc(noisy, cfg.window)
@@ -180,11 +180,11 @@ def g_forward(gen: Generator, noisy, z: Tensor) -> Tensor:
     for w, b, a in zip(gen.enc_w, gen.enc_b, gen.enc_a):
         h = eg.prelu(eg.conv1d(h, w, b, stride=cfg.stride), a)
         enc_out.append(h)
-    h = eg.concat_channels(enc_out[-1], z)
+    h = eg.concat_channels(enc_out.pop(), z)
     for i, k in enumerate(range(cfg.depth, 0, -1)):
         h = eg.conv1d_transpose(h, gen.dec_w[i], gen.dec_b[i], stride=cfg.stride)
         if k > 1:
-            h = eg.concat_channels(eg.prelu(h, gen.dec_a[i]), enc_out[k - 2])
+            h = eg.concat_channels(eg.prelu(h, gen.dec_a[i]), enc_out.pop())
         else:
             h = eg.tanh(h)
     return h
@@ -192,12 +192,11 @@ def g_forward(gen: Generator, noisy, z: Tensor) -> Tensor:
 
 def _d_trunk(disc: Discriminator, candidate, noisy, norm) -> Tensor:
     """The discriminator's conv stack over (candidate, noisy) channel pairs:
-    each layer is conv, then norm(layer index, h), then LeakyReLU."""
+    each layer is conv, then norm(layer index, h), LeakyReLU included."""
     cfg = disc.cfg
     h = eg.concat_channels(_as_bwc(candidate, cfg.window), _as_bwc(noisy, cfg.window))
     for i in range(cfg.depth):
-        h = eg.conv1d(h, disc.conv_w[i], disc.conv_b[i], stride=cfg.stride)
-        h = eg.leaky_relu(norm(i, h))
+        h = norm(i, eg.conv1d(h, disc.conv_w[i], disc.conv_b[i], stride=cfg.stride))
     return h
 
 
@@ -212,8 +211,8 @@ def set_reference_batch(disc: Discriminator, candidate, noisy) -> None:
         mu, var = h.data.mean(axis=(0, 1)), h.data.var(axis=(0, 1))
         means.append(mu)
         variances.append(var)
-        return Tensor(disc.gamma[i].data * (h.data - mu) / np.sqrt(var + VBN_EPS)
-                      + disc.beta[i].data)
+        y = disc.gamma[i].data * (h.data - mu) / np.sqrt(var + VBN_EPS) + disc.beta[i].data
+        return Tensor(np.maximum(y, LEAKY_ALPHA * y, out=y))
 
     with no_grad():
         n_ref = _d_trunk(disc, candidate, noisy, batch_norm).data.shape[0]

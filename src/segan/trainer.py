@@ -57,8 +57,8 @@ from .optim import LR, RMSprop
 
 Z_MODES = ("seeded", "zero")    # enhance_file's latent: a seeded N(0, 1) draw, or zeros
 # Windows per generator call in enhance_file. At full scale 16 windows ran
-# enhance-long 4-14% faster than 8 (rtf), but each window above 8 added
-# 5.2 MB to its peak RSS (414.0 against 372.1 MB).
+# enhance-long about as fast as 8 but added 4.5 MB of peak RSS per window
+# above 8 (398.6 against 362.9 MB); g_forward's traced peak is 25.3 MB at 8, 37.9 at 12.
 ENHANCE_BATCH = 8
 
 

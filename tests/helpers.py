@@ -325,9 +325,9 @@ def reference_stats_oracle(disc, candidate, noisy):
 
 def vbn_composite(x, ref_mean, ref_var, n_ref, gamma, beta):
     """Virtual batch norm built from elementwise engine nodes, one per
-    operation: the oracle the fused engine.virtual_batch_norm must match bit
-    for bit. Division and square root are local nodes, built like the
-    engine's own ops."""
+    operation. Followed by prelu at LEAKY_ALPHA slopes, it is the oracle the
+    fused engine.virtual_batch_norm must match bit for bit. Division and
+    square root are local nodes, built like the engine's own ops."""
     from segan import engine as eg
 
     def div(a, b):

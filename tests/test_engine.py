@@ -43,14 +43,19 @@ def test_tanh_fixtures():
     assert abs(y.data[2] + 1.0) < 1e-12
 
 
+def _leaky(x):
+    """prelu at the discriminator's fixed LeakyReLU slope."""
+    return eg.prelu(x, Tensor(np.full(x.data.shape[-1], eg.LEAKY_ALPHA, x.data.dtype)))
+
+
 def test_leaky_relu_fixture():
-    y = eg.leaky_relu(Tensor([-1.0, 0.0, 2.0]))
+    y = _leaky(Tensor([-1.0, 0.0, 2.0]))
     assert np.allclose(y.data, [-0.3, 0.0, 2.0])
     # float32, signed zeros included: bit-equal to the closed forms
     data = np.array([[[-2.5, 0.0], [-0.0, 1.25], [3.0, -1e-30]]], np.float32)
     x = Parameter("x", data)
     g = np.random.default_rng(0).uniform(0.5, 1.5, data.shape).astype(np.float32)
-    y = eg.leaky_relu(x)
+    y = _leaky(x)
     backward(eg.mul(y, Tensor(g)).sum())
     want_y = np.where(data > 0, data, eg.LEAKY_ALPHA * data)
     want_g = g * np.where(data > 0, 1.0, eg.LEAKY_ALPHA).astype(np.float32)
@@ -490,12 +495,13 @@ def test_vbn_centering_on_reference_mean():
 
 
 def test_vbn_gamma_zero_gives_beta():
+    # beta after the rectifier: a negative beta comes out times LEAKY_ALPHA
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 8, 3)))
     beta = np.array([0.5, -1.0, 2.0])
     out = eg.virtual_batch_norm(x, rng.standard_normal(3), rng.uniform(0.5, 2, 3), 16,
                                 Tensor(np.zeros(3)), Tensor(beta))
-    assert np.allclose(out.data, np.broadcast_to(beta, out.shape))
+    assert np.allclose(out.data, np.broadcast_to([0.5, -0.3, 2.0], out.shape))
 
 
 def test_vbn_large_nref_limit_is_plain_normalization():
@@ -507,6 +513,7 @@ def test_vbn_large_nref_limit_is_plain_normalization():
     out = eg.virtual_batch_norm(Tensor(x), ref_mean, ref_var, 10**6,
                                 Tensor(gamma), Tensor(beta))
     direct = gamma * (x - ref_mean) / np.sqrt(ref_var + 1e-5) + beta
+    direct = np.where(direct > 0, direct, eg.LEAKY_ALPHA * direct)
     assert np.max(np.abs(out.data - direct)) < 1e-4
 
 
@@ -514,28 +521,50 @@ def test_vbn_large_nref_limit_is_plain_normalization():
 _VBN_SHAPES = [(16, 512, 16), (16, 256, 32), (16, 128, 64), (16, 64, 128), (2, 20, 3)]
 
 
-def _vbn_run(vbn, shape, dtype, n_ref):
-    rng = np.random.default_rng(sum(shape) + n_ref)
-    c = shape[-1]
-    x = Tensor((rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype), requires_grad=True)
-    gamma = Parameter("gamma", rng.uniform(0.5, 1.5, c).astype(dtype))
-    beta = Parameter("beta", rng.standard_normal(c).astype(dtype))
-    ref_mean = rng.standard_normal(c).astype(np.float32)
-    ref_var = rng.uniform(0.5, 1.5, c).astype(np.float32)
+def _vbn_run(vbn, x, gamma, beta, ref_mean, ref_var, n_ref, g):
+    x = Tensor(x, requires_grad=True)
+    gamma, beta = Parameter("gamma", gamma), Parameter("beta", beta)
     out = vbn(x, ref_mean, ref_var, n_ref, gamma, beta)
-    backward(eg.mul(out, Tensor(rng.standard_normal(shape).astype(dtype))).sum())
+    backward(eg.mul(out, Tensor(g)).sum())
     return out.data, x.grad, gamma.grad, beta.grad
+
+
+def _assert_vbn_is_bitwise_the_composite(dtype, *args):
+    fused = _vbn_run(eg.virtual_batch_norm, *args)
+    composite = _vbn_run(lambda *a: _leaky(vbn_composite(*a)), *args)   # the oracle
+    for name, a, b in zip(("out", "x.grad", "gamma.grad", "beta.grad"), fused, composite):
+        assert a.dtype == b.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("shape", _VBN_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_ref", [1, 16])
 def test_vbn_is_bitwise_the_composite(shape, dtype, n_ref):
-    fused = _vbn_run(eg.virtual_batch_norm, shape, dtype, n_ref)
-    composite = _vbn_run(vbn_composite, shape, dtype, n_ref)
-    for name, a, b in zip(("out", "x.grad", "gamma.grad", "beta.grad"), fused, composite):
-        assert a.dtype == b.dtype == dtype, name
-        assert a.tobytes() == b.tobytes(), name
+    rng = np.random.default_rng(sum(shape) + n_ref)
+    c = shape[-1]
+    _assert_vbn_is_bitwise_the_composite(
+        dtype, (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype),
+        rng.uniform(0.5, 1.5, c).astype(dtype), rng.standard_normal(c).astype(dtype),
+        rng.standard_normal(c).astype(np.float32), rng.uniform(0.5, 1.5, c).astype(np.float32),
+        n_ref, rng.standard_normal(shape).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vbn_rectifier_is_bitwise_the_composite_at_zero_and_underflow(dtype):
+    # channel 0 has gamma 0 and beta 0, so every normalized value is an exact
+    # zero; channel 1's gamma is the smallest subnormal, so its negative
+    # values times LEAKY_ALPHA underflow to -0.0; channel 2 is ordinary
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = rng.standard_normal((3, 8, 3)).astype(dtype)
+    gamma, beta = np.array([0.0, tiny, 1.2], dtype), np.array([0.0, 0.0, -0.1], dtype)
+    ref_mean, ref_var = np.zeros(3, np.float32), np.ones(3, np.float32)
+    out = eg.virtual_batch_norm(Tensor(x), ref_mean, ref_var, 16, Tensor(gamma), Tensor(beta))
+    assert (out.data[..., 0] == 0).all()
+    assert (np.signbit(out.data[..., 1]) & (out.data[..., 1] == 0)).any()
+    _assert_vbn_is_bitwise_the_composite(dtype, x, gamma, beta, ref_mean, ref_var, 16,
+                                         rng.standard_normal(x.shape).astype(dtype))
 
 
 def test_vbn_graph_keeps_no_array_of_x_shape_but_its_output():

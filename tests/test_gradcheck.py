@@ -5,7 +5,7 @@ import pytest
 
 from segan import engine as eg
 from segan import gradcheck
-from segan.engine import Parameter
+from segan.engine import Parameter, Tensor
 from segan.errors import ConfigError
 from segan.gradcheck import OP_CASES, check_all_ops, grad_check
 
@@ -59,9 +59,10 @@ def test_detects_kink_disagreement():
     # At x = 0 the analytic leaky-relu slope and the central difference
     # disagree by construction, so the checker must report a large error.
     x = Parameter("x", np.zeros((4, 4)))
+    slopes = Tensor(np.full(4, eg.LEAKY_ALPHA))
 
     def loss():
-        return eg.leaky_relu(x).sum()
+        return eg.prelu(x, slopes).sum()
 
     assert grad_check(loss, [x], eps=1e-5) > 0.1
 

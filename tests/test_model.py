@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -232,6 +233,26 @@ def test_full_graph_reaches_every_generator_parameter():
     backward(out.sum())
     for p in gen.parameters():
         assert p.grad is not None and np.any(p.grad != 0.0), p.name
+
+
+def test_g_forward_frees_each_skip_once_concatenated(monkeypatch):
+    # without a graph, each encoder output dies as soon as the concat that
+    # reads it returns: the bottleneck concat reads the deepest as its first
+    # operand, each decoder concat one skip as its second
+    skips, concat = [], eg.concat_channels
+
+    def spy(a, b):
+        assert all(ref() is None for ref in skips), [ref() is None for ref in skips]
+        skips.append(weakref.ref(b if skips else a))
+        return concat(a, b)
+    monkeypatch.setattr(eg, "concat_channels", spy)
+    gen = build_generator(REDUCED, seed=3)
+    noisy = np.random.default_rng(1).uniform(-0.5, 0.5, (2, REDUCED.window)).astype(np.float32)
+    z = sample_z(2, REDUCED.bottleneck_len, REDUCED.z_channels, seed=0)
+    with eg.no_grad():
+        g_forward(gen, noisy, z)
+    assert len(skips) == REDUCED.depth
+    assert all(ref() is None for ref in skips)
 
 
 # ---------------------------------------------------------------------------

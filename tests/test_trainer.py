@@ -255,10 +255,12 @@ def test_adversarial_step_peak_stays_below_42_mb():
     assert peak < 42e6, peak / 1e6
 
 
-def test_adversarial_step_peak_stays_below_29_mb():
-    # each loss graph dies when its backward ends, and a node keeps the
-    # gradient its child's closure made: 26.2 MB measured, 33.8 while the
-    # D-real and D-fake graphs lived to the step's end
+def test_adversarial_step_peak_stays_below_26_mb():
+    # each loss graph dies when its backward ends, a node keeps the gradient
+    # its child's closure made, and each D layer keeps two activation-sized
+    # arrays, its LeakyReLU fused into VBN's normalize node: 24.1 MB
+    # measured, 26.2 with a separate LeakyReLU node, 33.8 while the D-real
+    # and D-fake graphs lived to the step's end
     gen, disc, g_opt, d_opt, noisy, clean, z = reduced_adversarial()
     tcfg = TrainConfig(epochs=1, accum_steps=1)
     train_step(gen, disc, g_opt, d_opt, noisy, clean, z, tcfg, step=0)   # warm step
@@ -268,7 +270,7 @@ def test_adversarial_step_peak_stays_below_29_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 29e6, peak / 1e6
+    assert peak < 26e6, peak / 1e6
 
 
 @pytest.mark.parametrize("accum", [1, 2])
