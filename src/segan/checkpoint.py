@@ -9,22 +9,22 @@ Layout, all little-endian:
 
 Entries are written sorted by name so identical contents give identical
 bytes. Values are stored as float32; round-trips of float32 data are
-bit-exact. "SGN1" files, the same layout without the padding, still load.
+bit-exact. Any other magic, the unpadded "SGN1" layout included, is
+rejected.
 
-An SGN2 file is mapped copy-on-write and every payload is a view of the
+A load maps the file copy-on-write and every payload is a view of the
 mapping, so loading copies nothing, a payload takes memory only once it is
-read, and writes to the views stay in the process. Untouched pages are read
-from the file when first used, so a checkpoint in use must be replaced by
-rename (as `save_tensors` does), never rewritten in place.
+read (one that is never read costs nothing), and writes to the views stay
+in the process. Untouched pages are read from the file when first used, so
+a checkpoint in use must be replaced by rename (as `save_tensors` does),
+never rewritten in place.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
 import struct
-from collections.abc import Callable
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .atomic import replacing
 from .errors import CorruptCheckpointError
 
 MAGIC = b"SGN2"
-MAGIC_V1 = b"SGN1"
-ALIGN = 64      # SGN2 payload offsets are multiples of this
+ALIGN = 64      # payload offsets are multiples of this
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -54,92 +53,64 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 class _Reader:
-    """Sequential reads from an open archive (a file, or a mapping of one)
-    that know its length, so a short file is reported as truncated before
-    anything is allocated for the missing bytes."""
+    """Walks a mapped archive by offsets. It knows the file's length, so a
+    short file is reported as truncated before anything is made for the
+    missing bytes."""
 
-    def __init__(self, src, size: int, pos: int, path):
-        self.src = src
-        self.size = size
+    def __init__(self, buf: mmap.mmap, pos: int, path):
+        self.buf = buf
         self.pos = pos
         self.path = path
-        self.mapped = isinstance(src, mmap.mmap)
 
-    def _claim(self, n: int) -> None:
-        if self.pos + n > self.size:
-            raise CorruptCheckpointError(f"{self.path}: truncated at byte {self.pos}")
+    def _claim(self, n: int) -> int:
+        """The offset of the next `n` bytes, which the walk then passes."""
+        start = self.pos
+        if start + n > len(self.buf):
+            raise CorruptCheckpointError(f"{self.path}: truncated at byte {start}")
         self.pos += n
+        return start
 
     def take(self, n: int) -> bytes:
-        self._claim(n)
-        return self.src.read(n)
+        start = self._claim(n)
+        return self.buf[start:self.pos]
 
-    def skip(self, n: int) -> None:
-        self._claim(n)
-        self.src.seek(n, os.SEEK_CUR)
-
-    def align(self) -> None:
-        """Pass the zero padding in front of an SGN2 payload."""
+    def take_array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Pass the zero padding in front of the next payload, then return
+        the payload: a float32 view of the mapping, of `shape`."""
         start = self.pos
         if any(self.take(-start % ALIGN)):
             raise CorruptCheckpointError(f"{self.path}: nonzero padding at byte {start}")
-
-    def take_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next float32 payload of `shape`: a view of the mapping, or
-        read from the file straight into a new array."""
-        start = self.pos
         count = math.prod(shape)
-        if self.mapped:
-            self.skip(4 * count)
-            return np.frombuffer(self.src, "<f4", count, offset=start).reshape(shape)
-        self._claim(4 * count)
-        arr = np.empty(shape, dtype="<f4")
-        if self.src.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise CorruptCheckpointError(f"{self.path}: truncated at byte {start}")
-        return arr
+        return np.frombuffer(self.buf, "<f4", count, offset=self._claim(4 * count)).reshape(shape)
 
 
-def load_tensors(path, skip: Callable[[str], bool] | None = None) -> dict[str, np.ndarray]:
-    """Load an archive: an SGN2 file's payloads as writable views of a
-    copy-on-write mapping of it, an SGN1 file's each read into its own array.
-
-    A tensor whose name `skip` accepts keeps its name, shape and length
-    checks, but its payload is not read: it comes back as a read-only
-    zero-stride array of its shape.
-    """
+def load_tensors(path) -> dict[str, np.ndarray]:
+    """Load an archive: every payload a writable view of a copy-on-write
+    mapping of the file. A file that does not start with the SGN2 magic is
+    rejected."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if len(magic) < 4:
             raise CorruptCheckpointError(f"{path}: truncated at byte 0")
-        if magic == MAGIC:
-            src = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-            src.seek(4)
-        elif magic == MAGIC_V1:
-            src = fh
-        else:
-            raise CorruptCheckpointError(f"{path}: bad magic, not a checkpoint")
-        r = _Reader(src, size, 4, path)
-        (count,) = struct.unpack("<I", r.take(4))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", r.take(2))
-            try:
-                name = r.take(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptCheckpointError(f"{path}: undecodable tensor name") from exc
-            (rank,) = struct.unpack("<B", r.take(1))
-            shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-            if r.mapped:
-                r.align()
-            if skip is not None and skip(name):
-                r.skip(4 * math.prod(shape))
-                arr = np.broadcast_to(np.zeros((), dtype="<f4"), shape)
-            else:
-                arr = r.take_array(shape)
-            if name in out:
-                raise CorruptCheckpointError(f"{path}: duplicate tensor name {name!r}")
-            out[name] = arr
-        if r.pos != r.size:
-            raise CorruptCheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
+        if magic != MAGIC:
+            raise CorruptCheckpointError(
+                f"{path}: bad magic {magic!r}, not an {MAGIC.decode()} checkpoint")
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    r = _Reader(buf, 4, path)
+    (count,) = struct.unpack("<I", r.take(4))
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", r.take(2))
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"{path}: undecodable tensor name") from exc
+        (rank,) = struct.unpack("<B", r.take(1))
+        shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        arr = r.take_array(shape)
+        if name in out:
+            raise CorruptCheckpointError(f"{path}: duplicate tensor name {name!r}")
+        out[name] = arr
+    if r.pos != len(buf):
+        raise CorruptCheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes")
     return out

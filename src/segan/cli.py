@@ -297,6 +297,9 @@ def cmd_synth_data(v: dict) -> int:
 def cmd_train(v: dict) -> int:
     mcfg = GeneratorConfig(**_library_args(GeneratorConfig, v))
     tcfg = TrainConfig(**_library_args(TrainConfig, v))
+    if not 0 <= v["hop"] <= mcfg.window:
+        raise ConfigError(f"train.hop must lie in [0, {mcfg.window}] (0 means window/2), "
+                          f"got {v['hop']}")
     hop = v["hop"] or mcfg.window // 2
     entries = load_manifest(v["data"])
     pairs = list(build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),

@@ -312,18 +312,13 @@ def save_checkpoint(path, gen: Generator, disc: Discriminator | None = None) -> 
     save_tensors(path, tensors)
 
 
-def _d_payload(name: str) -> bool:
-    """A discriminator tensor whose values only matter to a built D."""
-    return name.startswith("d.") and name != "d.n_ref"
-
-
-def load_checkpoint(path, discriminator: bool = True
-                    ) -> tuple[Generator, Discriminator | None, GeneratorConfig]:
-    """Build G, and D when the file holds one, straight from the stored
-    tensors. With discriminator=False the D tensors get every check but
-    their payloads are not read, and None stands in for D.
+def load_checkpoint(path) -> tuple[Generator, Discriminator | None, GeneratorConfig]:
+    """Build G, and D when the file holds `d.*` tensors, straight from the
+    stored tensors. Every parameter is a view of the file's copy-on-write
+    mapping, so a payload that is never read costs nothing: enhancement
+    builds D but never touches its weights.
     """
-    stored = load_tensors(path, skip=None if discriminator else _d_payload)
+    stored = load_tensors(path)
     cfg = _cfg_from_tensors(stored, path)
     consumed = set(_cfg_tensors(cfg))
 
@@ -339,13 +334,10 @@ def load_checkpoint(path, discriminator: bool = True
     def make(name, shape, fill):
         return Parameter(name, take(name, shape), dtype=np.float32)
 
-    def check(name, shape, fill):
-        return take(name, shape)
-
     gen = _generator(cfg, make)
     disc = None
     if any(name.startswith("d.") for name in stored):
-        disc = _discriminator(cfg, make if discriminator else check)
+        disc = _discriminator(cfg, make)
         disc.n_ref = _stored_ints(stored, "d.n_ref", path, scalar=True)[0]
         if disc.n_ref < 1:
             raise CorruptCheckpointError(
@@ -359,4 +351,4 @@ def load_checkpoint(path, discriminator: bool = True
     extra = set(stored) - consumed
     if extra:
         raise CorruptCheckpointError(f"{path}: unexpected tensor {sorted(extra)[0]}")
-    return gen, disc if discriminator else None, cfg
+    return gen, disc, cfg

@@ -281,7 +281,7 @@ def enhance_file(checkpoint_path, in_path, out_path,
         raise ConfigError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
     if z_seed < 0:
         raise ConfigError(f"z_seed must be >= 0, got {z_seed}")
-    gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
+    gen, _, mcfg = load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(z_seed)
     z_shape = (mcfg.bottleneck_len, mcfg.z_channels)
     x_last = y_last = 0.0   # last input and output samples so far: the emphasis filters' state

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import wave
-from pathlib import Path
 
 import numpy as np
 
@@ -137,26 +136,16 @@ def tap_grad_oracle(long, short, w, stride):
     return gw.T.reshape(width, c_long, c_short)
 
 
-def archive_bytes(entries, version=2, count=None):
-    """A tensor archive built by hand from (name bytes, shape, payload bytes
-    or None) entries: "SGN<version>", the tensor count (`count` overrides
-    it), then per entry its name, rank and dims, and, unless the payload is
-    None, the payload; SGN2 pads each payload to a 64-byte file offset."""
-    blob = bytearray(b"SGN%d" % version + struct.pack("<I", len(entries) if count is None else count))
+def archive_bytes(entries, count=None):
+    """An SGN2 tensor archive built by hand from (name bytes, shape, payload
+    bytes) entries: the magic, the tensor count (`count` overrides it), then
+    per entry its name, rank and dims, and its payload at the next 64-byte
+    file offset."""
+    blob = bytearray(b"SGN2" + struct.pack("<I", len(entries) if count is None else count))
     for name, shape, payload in entries:
         blob += struct.pack(f"<H{len(name)}sB{len(shape)}I", len(name), name, len(shape), *shape)
-        if payload is not None:
-            blob += bytes(-len(blob) % 64 if version == 2 else 0) + payload
+        blob += bytes(-len(blob) % 64) + payload
     return bytes(blob)
-
-
-def save_sgn1(path, tensors):
-    """Write `tensors` in the SGN1 layout (SGN2 without the padding), sorted by name."""
-    entries = []
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype="<f4")
-        entries.append((name.encode("utf-8"), arr.shape, arr.tobytes()))
-    Path(path).write_bytes(archive_bytes(entries, version=1))
 
 
 def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_seed=0):
@@ -169,7 +158,7 @@ def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_se
     from segan.engine import Tensor, no_grad, sample_z
     from segan.model import g_forward, load_checkpoint
     from segan.trainer import ENHANCE_BATCH
-    gen, _, mcfg = load_checkpoint(checkpoint_path, discriminator=False)
+    gen, _, mcfg = load_checkpoint(checkpoint_path)
     w = read_wav(in_path)
     if w.sample_rate == 48000:
         w = resample_48k_to_16k(w)

@@ -415,6 +415,8 @@ _INPUTS = {
     ("enhance-wiener", "alpha", "1.5"),
     ("enhance-wiener", "alpha", "-0.1"),
     ("enhance-wiener", "gain_floor_db", "3"),
+    ("train", "hop", "-5"),
+    ("train", "hop", "20000"),
     ("gradcheck", "eps", "0"),
     ("gradcheck", "tol", "nan"),
     ("gradcheck", "tol", "-1"),

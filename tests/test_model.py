@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import params_digest, reference_stats_oracle, save_sgn1
+from helpers import params_digest, reference_stats_oracle
 
 from segan import engine as eg, model
 from segan.checkpoint import load_tensors, save_tensors
@@ -465,22 +465,11 @@ def test_load_draws_no_random_numbers(tmp_path, monkeypatch):
         assert np.array_equal(p.grad, np.zeros_like(p.data))
 
 
-def test_load_without_discriminator_builds_generator_only(tmp_path):
-    gen = build_generator(TINY, seed=6)
-    disc = build_discriminator(TINY, seed=7)
-    set_reference_batch(disc, *_ref_batch(np.random.default_rng(2)))
-    path = tmp_path / "gd.sgn"
-    save_checkpoint(path, gen, disc)
-    loaded, no_disc, cfg = load_checkpoint(path, discriminator=False)
-    assert no_disc is None and cfg == TINY
-    assert params_digest(loaded.parameters()) == params_digest(gen.parameters())
-
-
 _LOAD_RSS_SCRIPT = """
 import json, resource, sys
 from segan.model import load_checkpoint
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-gen, disc, _ = load_checkpoint(sys.argv[1], discriminator=sys.argv[2] == "full")
+gen, disc, _ = load_checkpoint(sys.argv[1])
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 params = gen.parameters() + (disc.parameters() if disc is not None else [])
 print(json.dumps({
@@ -494,9 +483,9 @@ print(json.dumps({
 BIG = GeneratorConfig(window=4, filter_width=31, enc_channels=(384, 768), z_channels=16)
 
 
-def _fresh_load(path, which):
-    """Load `path` in a fresh interpreter (G only, or "full"); the
-    script's JSON report of ru_maxrss growth and weight bytes."""
+def _fresh_load(path):
+    """Load `path` in a fresh interpreter; the script's JSON report of
+    ru_maxrss growth and weight bytes."""
     # A process started by exec inherits the ru_maxrss of the one that
     # forked it, so the load runs in an interpreter started by a small relay
     # interpreter rather than by this large test process.
@@ -505,7 +494,7 @@ def _fresh_load(path, which):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     relay = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
     proc = subprocess.run([sys.executable, "-c", relay,
-                           sys.executable, "-c", _LOAD_RSS_SCRIPT, str(path), which],
+                           sys.executable, "-c", _LOAD_RSS_SCRIPT, str(path)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -513,7 +502,7 @@ def _fresh_load(path, which):
 def test_loaded_gradient_buffers_take_no_memory_until_written(tmp_path):
     path = tmp_path / "big.sgn"
     save_checkpoint(path, build_generator(BIG, seed=0))
-    got = _fresh_load(path, "g")
+    got = _fresh_load(path)
     assert got["weight_bytes"] >= 64 << 20
     assert got["grown_bytes"] < 1.5 * got["weight_bytes"], got
     assert got["zero_grads"]
@@ -525,7 +514,7 @@ def test_fresh_load_maps_payloads_without_reading_them(tmp_path):
     set_reference_batch(disc, rng.uniform(-0.5, 0.5, (2, 4)), rng.uniform(-0.5, 0.5, (2, 4)))
     path = tmp_path / "big.sgn"
     save_checkpoint(path, build_generator(BIG, seed=0), disc)
-    got = _fresh_load(path, "full")
+    got = _fresh_load(path)
     assert got["weight_bytes"] >= 96 << 20
     assert got["grown_bytes"] < 0.1 * got["weight_bytes"], got
 
@@ -552,23 +541,6 @@ def test_training_a_loaded_model_leaves_its_file_unchanged(tmp_path):
     opt.step()
     assert params_digest(loaded.parameters()) != before
     assert path.read_bytes() == blob
-
-
-def test_sgn1_checkpoint_loads_like_sgn2(tmp_path):
-    gen = build_generator(TINY, seed=6)
-    disc = build_discriminator(TINY, seed=7)
-    set_reference_batch(disc, *_ref_batch(np.random.default_rng(2)))
-    new, old = tmp_path / "new.sgn", tmp_path / "old.sgn"
-    save_checkpoint(new, gen, disc)
-    save_sgn1(old, load_tensors(new))
-    assert old.read_bytes()[:4] == b"SGN1" and new.read_bytes()[:4] == b"SGN2"
-    (g1, d1, c1), (g2, d2, c2) = load_checkpoint(old), load_checkpoint(new)
-    assert c1 == c2 == TINY and d1.n_ref == d2.n_ref == disc.n_ref
-    for a, b, want in zip(g1.parameters() + d1.parameters(), g2.parameters() + d2.parameters(),
-                          gen.parameters() + disc.parameters()):
-        assert a.data.tobytes() == b.data.tobytes() == want.data.tobytes(), a.name
-    for a, b in zip(d1.ref_mean + d1.ref_var, d2.ref_mean + d2.ref_var):
-        assert a.tobytes() == b.tobytes()
 
 
 def test_load_truncated_file(tmp_path):
