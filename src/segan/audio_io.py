@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import replacing
 from .errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
@@ -223,16 +224,21 @@ def chunk(w: Waveform, window: int, hop: int) -> tuple[np.ndarray, int]:
 
     Returns (chunks of shape (n, window), pad_len for later trimming).
     """
-    if window <= 0 or hop <= 0 or hop > window:
-        raise InvalidWindowError(f"need 0 < hop <= window, got window={window} hop={hop}")
     x = w.samples
+    starts, pad_len = window_starts(x.size, window, hop)
     if x.size == 0:
         return np.zeros((0, window), dtype=x.dtype), 0
-    starts = np.arange(0, x.size, hop)
-    pad_len = int(starts[-1]) + window - x.size
-    padded = np.concatenate([x, np.zeros(max(pad_len, 0), dtype=x.dtype)])
-    out = np.stack([padded[s:s + window] for s in starts])
-    return out, max(pad_len, 0)
+    padded = np.concatenate([x, np.zeros(pad_len, dtype=x.dtype)])
+    return sliding_window_view(padded, window)[starts], pad_len
+
+
+def window_starts(n: int, window: int, hop: int) -> tuple[np.ndarray, int]:
+    """The start of every window chunk() cuts from n samples (each multiple
+    of hop below n) and the zeros it pads so the last window is full."""
+    if window <= 0 or hop <= 0 or hop > window:
+        raise InvalidWindowError(f"need 0 < hop <= window, got window={window} hop={hop}")
+    starts = np.arange(0, n, hop)
+    return starts, max(int(starts[-1]) + window - n, 0) if n else 0
 
 
 def reassemble(chunks: np.ndarray, pad_len: int) -> Waveform:

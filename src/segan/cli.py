@@ -302,14 +302,16 @@ def cmd_train(v: dict) -> int:
                           f"got {v['hop']}")
     hop = v["hop"] or mcfg.window // 2
     entries = load_manifest(v["data"])
-    pairs = list(build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),
-                             window=mcfg.window, hop=hop))
+    corpus = build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),
+                         window=mcfg.window, hop=hop)
+    print(f"corpus: {corpus.utterances} utterances, {len(corpus)} windows "
+          f"(window {corpus.window}, hop {corpus.hop}), {corpus.nbytes / 2**20:.2f} MB")
     out = Path(v["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.txt").write_text("\n".join(_resolved_lines(v)) + "\n")
-    result = train(mcfg, tcfg, pairs, out)
+    result = train(mcfg, tcfg, corpus, out)
     last = result.reports[-1]
-    print(f"trained {len(result.reports)} steps over {len(pairs)} pairs")
+    print(f"trained {len(result.reports)} steps over {len(corpus)} pairs")
     print(f"final losses: d_real={last.d_real:.6f} d_fake={last.d_fake:.6f} "
           f"g_adv={last.g_adv:.6f} g_l1={last.g_l1:.6f}")
     print(f"checkpoint {result.final_checkpoint}")

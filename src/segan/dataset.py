@@ -1,5 +1,5 @@
 """Synthetic clean/noise generation, SNR-controlled mixing, and the
-(noisy, clean) training-pair stream.
+training corpus of (noisy, clean) windows.
 
 Clean utterances are harmonic complexes with a slow amplitude envelope;
 noises come in four kinds. Everything is deterministic from (kind, seed),
@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import SAMPLE_RATE, Waveform, chunk, preemphasis, read_wav
+from .audio_io import SAMPLE_RATE, Waveform, preemphasis, read_wav, window_starts
 from .errors import ManifestError, ZeroPowerError
 
 
@@ -27,14 +28,37 @@ class NoiseKind(str, Enum):
     MODULATED_BURST = "modulated_burst"
 
 
-@dataclass(frozen=True)
-class TrainingPair:
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Every training window, held once. `noisy` and `clean` are the
+    preemphasized signals of all utterances end to end, each utterance
+    zero-padded to the end of its last window, as float32; `starts` is the
+    offset of every window in chunk() order. A window is copied out only
+    into the batch that gathers it.
+    """
     noisy: np.ndarray
     clean: np.ndarray
+    starts: np.ndarray
+    window: int
+    hop: int
+    utterances: int
 
     def __post_init__(self):
         if self.noisy.shape != self.clean.shape:
             raise ValueError(f"pair length mismatch: {self.noisy.shape} vs {self.clean.shape}")
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.noisy.nbytes + self.clean.nbytes + self.starts.nbytes
+
+    def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The (noisy, clean) windows at `idx`, each (len(idx), window, 1)."""
+        at = self.starts[idx]
+        return tuple(sliding_window_view(x, self.window)[at][..., None]
+                     for x in (self.noisy, self.clean))
 
 
 @dataclass(frozen=True)
@@ -204,16 +228,30 @@ def iter_utterances(entries: Iterable[ManifestEntry], split: str,
 
 
 def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
-                window: int, hop: int) -> Iterator[TrainingPair]:
-    """Mix, preemphasize both signals, then window clean and noisy with
-    identical offsets. Pair count equals the summed per-utterance chunk
-    count.
+                window: int, hop: int) -> Corpus:
+    """Mix and preemphasize each utterance, then lay clean and noisy end to
+    end with identical window offsets. The window count equals the summed
+    per-utterance chunk count, and each window equals chunk()'s row cast to
+    float32. An empty utterance adds no window.
     """
+    parts: dict[str, list[np.ndarray]] = {"noisy": [], "clean": []}
+    starts, offset, count = [], 0, 0
     for clean, noise, snr_db in utterances:
+        count += 1
+        at, pad = window_starts(len(clean), window, hop)
+        if not at.size:
+            continue
         noisy = mix_at_snr(clean, noise, snr_db)
-        clean_pre = preemphasis(clean)
-        noisy_pre = preemphasis(noisy)
-        c_chunks, _ = chunk(clean_pre, window, hop)
-        n_chunks, _ = chunk(noisy_pre, window, hop)
-        for c_row, n_row in zip(c_chunks, n_chunks):
-            yield TrainingPair(noisy=n_row.copy(), clean=c_row.copy())
+        for name, w in (("clean", clean), ("noisy", noisy)):
+            x = preemphasis(w).samples
+            part = np.zeros(x.size + pad, np.float32)
+            part[:x.size] = x
+            parts[name].append(part)
+        starts.append(at + offset)
+        offset += len(clean) + pad
+    # one signal at a time: its parts die once joined, so the peak is the
+    # corpus plus one signal's parts (1.5 times the corpus), not twice it
+    signals = {name: np.concatenate(parts.pop(name) or [np.zeros(0, np.float32)])
+               for name in ("noisy", "clean")}
+    return Corpus(starts=np.concatenate(starts or [np.zeros(0, np.intp)]),
+                  window=window, hop=hop, utterances=count, **signals)

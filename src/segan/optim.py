@@ -27,11 +27,19 @@ class RMSprop:
         self.cache = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        # the float operations of the formulas above, in their order, in
+        # place on two temporaries per parameter
         for p, c in zip(self.params, self.cache):
             g = p.grad
             c *= RHO
-            c += (1.0 - RHO) * g * g
-            p.data -= (self.lr * g / (np.sqrt(c) + EPS)).astype(p.data.dtype, copy=False)
+            t = (1.0 - RHO) * g
+            t *= g
+            c += t
+            np.sqrt(c, out=t)
+            t += EPS
+            u = self.lr * g
+            u /= t
+            p.data -= u.astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params:

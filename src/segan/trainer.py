@@ -38,7 +38,7 @@ from .audio_io import (
     reassemble,
     wav_writer,
 )
-from .dataset import TrainingPair
+from .dataset import Corpus
 from .engine import Tensor, backward, no_grad, sample_z
 from .errors import ConfigError, NonFiniteLossError
 from .model import (
@@ -214,23 +214,20 @@ def _z_seed_for(cfg_seed: int, step: int) -> int:
 
 
 def train(model_cfg: GeneratorConfig, cfg: TrainConfig,
-          pairs: list[TrainingPair], out_dir) -> TrainResult:
+          corpus: Corpus, out_dir) -> TrainResult:
     """Run the full loop: deterministic shuffling, per-step latent draws,
     checkpoints every cfg.checkpoint_every steps plus a final one, and a
     loss log CSV (step,d_real,d_fake,g_adv,g_l1) whose rows are written and
     flushed as each step ends, so a stopped run keeps the completed ones.
+    Each batch's windows are gathered from the corpus as the step needs them.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not len(corpus):
         raise ValueError("no training pairs supplied")
+    if corpus.window != model_cfg.window:
+        raise ConfigError(
+            f"corpus window {corpus.window} does not match model window {model_cfg.window}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    noisy_all = np.stack([p.noisy for p in pairs]).astype(np.float32)[..., None]
-    clean_all = np.stack([p.clean for p in pairs]).astype(np.float32)[..., None]
-    if noisy_all.shape[1] != model_cfg.window:
-        raise ConfigError(
-            f"pair length {noisy_all.shape[1]} does not match model window {model_cfg.window}")
 
     gen = build_generator(model_cfg, seed=cfg.seed)
     disc = build_discriminator(model_cfg, seed=cfg.seed + 1) if cfg.adversarial else None
@@ -243,10 +240,10 @@ def train(model_cfg: GeneratorConfig, cfg: TrainConfig,
     with open(log, "w") as fh:
         fh.write("step,d_real,d_fake,g_adv,g_l1\n")
         for _epoch in range(cfg.epochs):
-            perm = order_rng.permutation(len(pairs))
-            for lo in range(0, len(pairs), cfg.batch_size):
+            perm = order_rng.permutation(len(corpus))
+            for lo in range(0, len(corpus), cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
-                noisy_b, clean_b = noisy_all[idx], clean_all[idx]
+                noisy_b, clean_b = corpus.batch(idx)
                 step = len(reports)
                 if step == 0 and disc is not None:
                     set_reference_batch(disc, clean_b, noisy_b)

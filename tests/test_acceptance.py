@@ -73,13 +73,13 @@ _STATE: dict = {}
 
 
 def _corpus():
-    if "pairs" not in _STATE:
+    if "corpus" not in _STATE:
         dur = 1024 / 16000
         utts = [(synth_clean(seed=100 + i, duration_s=dur),
                  synth_noise("white", seed=1100 + i, duration_s=dur), 0.0)
                 for i in range(50)]
-        _STATE["pairs"] = list(build_pairs(utts, window=1024, hop=1024))
-    return _STATE["pairs"]
+        _STATE["corpus"] = build_pairs(utts, window=1024, hop=1024)
+    return _STATE["corpus"]
 
 
 def _train_l1_only(out_dir):
@@ -249,9 +249,7 @@ def test_criterion_08_adversarial_run_stays_finite():
             self.calls += 1
 
     def body():
-        pairs = _corpus()
-        noisy_all = np.stack([p.noisy for p in pairs]).astype(np.float32)[..., None]
-        clean_all = np.stack([p.clean for p in pairs]).astype(np.float32)[..., None]
+        corpus = _corpus()
         gen = build_generator(REDUCED, seed=7)
         disc = build_discriminator(REDUCED, seed=8)
         g_opt = RMSprop(gen.parameters(), lr=2e-4)
@@ -261,12 +259,12 @@ def test_criterion_08_adversarial_run_stays_finite():
         order = np.random.default_rng(11)
         step = 0
         while step < 500:
-            perm = order.permutation(len(pairs))
-            for lo in range(0, len(pairs), cfg.batch_size):
+            perm = order.permutation(len(corpus))
+            for lo in range(0, len(corpus), cfg.batch_size):
                 if step == 500:
                     break
                 idx = perm[lo:lo + cfg.batch_size]
-                noisy_b, clean_b = noisy_all[idx], clean_all[idx]
+                noisy_b, clean_b = corpus.batch(idx)
                 if step == 0:
                     set_reference_batch(disc, clean_b, noisy_b)
                 z = sample_z(len(idx), REDUCED.bottleneck_len, REDUCED.z_channels,

@@ -341,6 +341,8 @@ def test_synth_train_enhance_eval_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "config train.lambda_l1=50.0" in out
+    # 3 train utterances of 1024 samples, both sides float32, plus 12 offsets
+    assert "corpus: 3 utterances, 12 windows (window 256, hop 256), 0.02 MB" in out
     assert "trained 6 steps over 12 pairs" in out
     assert (run / "ckpt_final.sgn").exists()
     assert (run / "losses.csv").exists()

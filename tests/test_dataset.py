@@ -1,11 +1,11 @@
-"""Synthetic corpus: SNR mixing, signal synthesis, manifests, pair building."""
+"""Synthetic corpus: SNR mixing, signal synthesis, manifests, the training corpus."""
 
 import numpy as np
 import pytest
 
 from segan.audio_io import Waveform, chunk, preemphasis, read_wav, write_wav
 from segan.dataset import (ManifestEntry, NoiseKind,
-                           SYNTH_PREFIX, TrainingPair, _rng_for, build_pairs,
+                           SYNTH_PREFIX, Corpus, _rng_for, build_pairs,
                            iter_utterances, load_manifest, mix_at_snr,
                            synth_clean, synth_noise, write_manifest)
 from segan.errors import ManifestError, ZeroPowerError
@@ -274,13 +274,32 @@ def test_iter_utterances_reads_noise_files(tmp_path):
     assert np.array_equal(noise.samples, read_wav(tmp_path / "n.wav").samples)
 
 
+def _windows(corpus):
+    """Every (noisy, clean) window of the corpus, each (n, window)."""
+    noisy, clean = corpus.batch(np.arange(len(corpus)))
+    return noisy[..., 0], clean[..., 0]
+
+
+def _chunk_rows(utterances, window, hop):
+    """The windows chunk() cuts from each utterance's preemphasized noisy
+    and clean signals, stacked and cast to float32: the old pair list."""
+    noisy, clean = [], []
+    for c, n, snr_db in utterances:
+        if not len(c):
+            continue        # chunk() cuts no row from it (and its mix is NaN)
+        noisy.append(chunk(preemphasis(mix_at_snr(c, n, snr_db)), window, hop)[0])
+        clean.append(chunk(preemphasis(c), window, hop)[0])
+    return (np.concatenate(noisy).astype(np.float32),
+            np.concatenate(clean).astype(np.float32))
+
+
 def test_build_pairs_counts_and_shapes():
     clean = synth_clean(seed=0, duration_s=1.0)
     noise = synth_noise("white", seed=1, duration_s=1.0)
-    pairs = list(build_pairs([(clean, noise, 0.0)], window=16384, hop=8192))
-    assert len(pairs) == 2
-    for p in pairs:
-        assert p.noisy.shape == (16384,) and p.clean.shape == (16384,)
+    corpus = build_pairs([(clean, noise, 0.0)], window=16384, hop=8192)
+    assert len(corpus) == 2
+    for rows in _windows(corpus):
+        assert rows.shape == (2, 16384)
 
 
 def test_build_pairs_residual_is_preemphasized_scaled_noise():
@@ -288,26 +307,76 @@ def test_build_pairs_residual_is_preemphasized_scaled_noise():
     clean = Waveform(rng.uniform(-0.5, 0.5, 700), 16000)
     noise = Waveform(rng.uniform(-0.5, 0.5, 700), 16000)
     snr_db = 5.0
-    pairs = list(build_pairs([(clean, noise, snr_db)], window=256, hop=128))
+    corpus = build_pairs([(clean, noise, snr_db)], window=256, hop=128)
     g = np.sqrt(np.mean(clean.samples ** 2)
                 / (np.mean(noise.samples ** 2) * 10.0 ** (snr_db / 10.0)))
     scaled = Waveform(g * noise.samples, 16000)
     expected_rows, _ = chunk(preemphasis(scaled), 256, 128)
-    assert len(pairs) == expected_rows.shape[0]
-    for p, row in zip(pairs, expected_rows):
-        assert np.allclose(p.noisy - p.clean, row, atol=1e-12)
+    noisy, clean_rows = _windows(corpus)
+    assert len(corpus) == expected_rows.shape[0]
+    # each side is stored as float32, so each carries one float32 rounding
+    residual = noisy.astype(np.float64) - clean_rows
+    assert np.allclose(residual, expected_rows, rtol=0, atol=4 * np.finfo(np.float32).eps)
 
 
 def test_build_pairs_deterministic(tmp_path):
     entries = _toy_entries(tmp_path)
-    a = [p.noisy for p in build_pairs(iter_utterances(entries, "train", seed=3),
-                                      window=256, hop=256)]
-    b = [p.noisy for p in build_pairs(iter_utterances(entries, "train", seed=3),
-                                      window=256, hop=256)]
+    a = build_pairs(iter_utterances(entries, "train", seed=3), window=256, hop=256)
+    b = build_pairs(iter_utterances(entries, "train", seed=3), window=256, hop=256)
     assert len(a) == len(b) > 0
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(a.starts, b.starts)
+    assert a.noisy.tobytes() == b.noisy.tobytes() and a.clean.tobytes() == b.clean.tobytes()
+
+
+def _mixed_lengths():
+    """A long utterance, one shorter than any window below, an empty one
+    and one of an odd length."""
+    out = []
+    for i, n in enumerate([5000, 300, 0, 1777]):
+        rng = np.random.default_rng(40 + i)
+        out.append((Waveform(rng.uniform(-0.5, 0.5, n), 16000),
+                    Waveform(rng.uniform(-0.5, 0.5, n), 16000), 3.0 * i))
+    return out
+
+
+@pytest.mark.parametrize("window,hop", [(512, 256), (512, 512), (512, 100), (1024, 512)])
+def test_corpus_windows_are_the_chunk_rows_cast_to_float32(window, hop):
+    utts = _mixed_lengths()
+    corpus = build_pairs(utts, window=window, hop=hop)
+    want_noisy, want_clean = _chunk_rows(utts, window, hop)
+    noisy, clean = _windows(corpus)
+    assert (corpus.window, corpus.hop, corpus.utterances) == (window, hop, 4)
+    assert noisy.dtype == clean.dtype == np.float32
+    assert noisy.tobytes() == want_noisy.tobytes()
+    assert clean.tobytes() == want_clean.tobytes()
+    # one float32 copy of each padded signal: the empty utterance adds nothing
+    padded = sum(int(starts[-1]) + window for starts in
+                 (np.arange(0, len(c), hop) for c, _, _ in utts) if starts.size)
+    assert corpus.noisy.shape == corpus.clean.shape == (padded,)
+    assert corpus.nbytes == 2 * 4 * padded + corpus.starts.nbytes
+
+
+def test_corpus_batch_gather_equals_the_stacked_indexing():
+    utts = _mixed_lengths()
+    corpus = build_pairs(utts, window=512, hop=256)
+    noisy_all, clean_all = (rows[..., None] for rows in _chunk_rows(utts, 512, 256))
+    perm = np.random.default_rng(0).permutation(len(corpus))
+    for lo in range(0, len(corpus), 5):
+        idx = perm[lo:lo + 5]
+        noisy_b, clean_b = corpus.batch(idx)
+        assert noisy_b.flags.c_contiguous and clean_b.flags.c_contiguous
+        assert noisy_b.tobytes() == noisy_all[idx].tobytes()
+        assert clean_b.tobytes() == clean_all[idx].tobytes()
+        assert noisy_b.shape == clean_b.shape == (len(idx), 512, 1)
+
+
+def test_an_empty_utterance_list_gives_an_empty_corpus():
+    corpus = build_pairs([], window=512, hop=256)
+    assert len(corpus) == 0 and corpus.utterances == 0
+    assert corpus.noisy.size == corpus.clean.size == 0
 
 
 def test_pair_and_condition_validation():
     with pytest.raises(ValueError, match="length mismatch"):
-        TrainingPair(noisy=np.zeros(4), clean=np.zeros(5))
+        Corpus(noisy=np.zeros(4, np.float32), clean=np.zeros(5, np.float32),
+               starts=np.zeros(1, np.intp), window=4, hop=4, utterances=1)

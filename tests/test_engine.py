@@ -103,6 +103,33 @@ def test_prelu_is_bitwise_the_closed_forms(dtype):
     assert a.grad.tobytes() == want_ga.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prelu_backward_is_bitwise_the_where_form(dtype, monkeypatch):
+    # the closure's own arrays, caught before any accumulation could turn a
+    # -0.0 into +0.0; -0.17 is a slope where (1 - a) + a != 1 in both dtypes
+    slopes = np.array([0.0, -0.0, 0.25, 1.0, 1.5, -0.5, -0.17], dtype)
+    assert ((1 - slopes[-1]) + slopes[-1]) != 1
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                        np.inf, -np.inf, np.nan, 1.0, -1.0], dtype)
+    rng = np.random.default_rng(17)
+    data = rng.standard_normal((2, 30, slopes.size)).astype(dtype)
+    data[0, :special.size] = special[:, None]
+    data[1, :special.size] = special[::-1, None]
+    g = rng.standard_normal(data.shape).astype(dtype)
+    g[1, :4] = [[0.0], [-0.0], [np.inf], [-tiny]]
+    got = {}
+    monkeypatch.setattr(eg, "_accum", lambda t, grad: got.setdefault(id(t), grad))
+    x, a = Tensor(data, requires_grad=True), Tensor(slopes, requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        eg.prelu(x, a)._backward(g)
+        want_gx = np.where(data > 0, dtype(1), slopes) * g
+        want_ga = (np.where(data > 0, dtype(0), data) * g).sum(axis=(0, 1))
+    assert got[id(x)].dtype == got[id(a)].dtype == dtype
+    assert got[id(x)].tobytes() == want_gx.tobytes()
+    assert got[id(a)].tobytes() == want_ga.tobytes()
+
+
 def test_prelu_shape_validation():
     with pytest.raises(ShapeMismatchError):
         eg.prelu(Tensor(np.zeros((1, 4, 3))), Tensor([0.1, 0.2]))

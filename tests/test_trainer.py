@@ -10,7 +10,7 @@ from segan import engine as eg
 from segan import trainer
 from segan.audio_io import (PREEMPH, Waveform, chunk, preemphasis, read_wav,
                             reassemble, write_wav)
-from segan.dataset import TrainingPair
+from segan.dataset import Corpus, build_pairs
 from segan.engine import Tensor, backward, sample_z
 from segan.checkpoint import load_tensors, save_tensors
 from segan.errors import (ConfigError, CorruptCheckpointError, NonFiniteLossError,
@@ -33,12 +33,12 @@ def _batch(rng, n=4, window=64):
             rng.uniform(-0.5, 0.5, (n, window)).astype(np.float32))
 
 
-def _tiny_pairs(count, rng):
-    out = []
-    for _ in range(count):
-        noisy, clean = rng.uniform(-0.5, 0.5, (2, 64))
-        out.append(TrainingPair(noisy=noisy, clean=clean))
-    return out
+def _tiny_corpus(count, rng, window=64):
+    """`count` random (noisy, clean) windows laid end to end, hop == window."""
+    parts = [rng.uniform(-0.5, 0.5, (2, window)) for _ in range(count)]
+    noisy, clean = np.concatenate(parts or [np.zeros((2, 0))], axis=1).astype(np.float32)
+    return Corpus(noisy=noisy, clean=clean, starts=np.arange(0, count * window, window),
+                  window=window, hop=window, utterances=count)
 
 
 class SpyRMSprop(RMSprop):
@@ -405,32 +405,56 @@ def test_a_stopped_run_keeps_the_rows_of_its_finished_steps(tmp_path, monkeypatc
     monkeypatch.setattr(trainer, "train_step", stops_at_the_third)
     cfg = TrainConfig(epochs=2, batch_size=2, adversarial=False, checkpoint_every=0)
     with pytest.raises(NonFiniteLossError):
-        train(TINY, cfg, _tiny_pairs(4, np.random.default_rng(4)), tmp_path)
+        train(TINY, cfg, _tiny_corpus(4, np.random.default_rng(4)), tmp_path)
     lines = (tmp_path / "losses.csv").read_text().splitlines()
     assert lines[0] == "step,d_real,d_fake,g_adv,g_l1"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
     monkeypatch.undo()
-    whole = train(TINY, cfg, _tiny_pairs(4, np.random.default_rng(4)), tmp_path / "whole")
+    whole = train(TINY, cfg, _tiny_corpus(4, np.random.default_rng(4)), tmp_path / "whole")
     assert whole.loss_log.read_text().splitlines()[:3] == lines
+
+
+def test_corpus_and_train_set_up_peak_at_most_twice_the_corpus(tmp_path, monkeypatch):
+    # the utterances exist before tracing starts; what is traced is
+    # build_pairs and train() up to its first step, reference batch included
+    rng = np.random.default_rng(9)
+    utts = [(Waveform(rng.uniform(-0.5, 0.5, 8000), 16000),
+             Waveform(rng.uniform(-0.5, 0.5, 8000), 16000), 5.0) for _ in range(32)]
+
+    def stop(*a, **k):
+        raise NonFiniteLossError("stopped before step 0")
+
+    monkeypatch.setattr(trainer, "train_step", stop)
+    cfg = TrainConfig(epochs=1, batch_size=4, adversarial=True, checkpoint_every=0)
+    tracemalloc.start()
+    try:
+        corpus = build_pairs(utts, window=TINY.window, hop=TINY.window // 2)
+        with pytest.raises(NonFiniteLossError, match="before step 0"):
+            train(TINY, cfg, corpus, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    signals = corpus.noisy.nbytes + corpus.clean.nbytes
+    assert signals == 2 * 4 * 32 * 8032       # 8000 samples padded to the last window's end
+    assert peak <= 2 * signals, f"peak {peak} B against a corpus of {signals} B"
 
 
 def test_train_rejects_bad_pairs(tmp_path):
     cfg = TrainConfig(epochs=1, adversarial=False)
     with pytest.raises(ValueError, match="no training pairs"):
-        train(TINY, cfg, [], tmp_path)
-    rng = np.random.default_rng(0)
-    short = [TrainingPair(noisy=rng.uniform(-1, 1, 32), clean=rng.uniform(-1, 1, 32))]
+        train(TINY, cfg, _tiny_corpus(0, np.random.default_rng(0)), tmp_path)
+    short = _tiny_corpus(1, np.random.default_rng(0), window=32)
     with pytest.raises(ConfigError, match="does not match model window"):
         train(TINY, cfg, short, tmp_path)
 
 
 def test_train_is_deterministic(tmp_path):
     rng = np.random.default_rng(3)
-    pairs = _tiny_pairs(8, rng)
+    corpus = _tiny_corpus(8, rng)
     cfg = TrainConfig(epochs=2, batch_size=4, adversarial=False, seed=11,
                       checkpoint_every=0)
-    r1 = train(TINY, cfg, pairs, tmp_path / "run1")
-    r2 = train(TINY, cfg, pairs, tmp_path / "run2")
+    r1 = train(TINY, cfg, corpus, tmp_path / "run1")
+    r2 = train(TINY, cfg, corpus, tmp_path / "run2")
     assert r1.loss_log.read_text() == r2.loss_log.read_text()
     assert r1.final_checkpoint.read_bytes() == r2.final_checkpoint.read_bytes()
     assert len(r1.reports) == 4  # 8 pairs, batch 4, 2 epochs
@@ -438,19 +462,19 @@ def test_train_is_deterministic(tmp_path):
 
 def test_train_seed_changes_the_run(tmp_path):
     rng = np.random.default_rng(3)
-    pairs = _tiny_pairs(8, rng)
+    corpus = _tiny_corpus(8, rng)
     base = dict(epochs=1, batch_size=4, adversarial=False, checkpoint_every=0)
-    r1 = train(TINY, TrainConfig(seed=1, **base), pairs, tmp_path / "a")
-    r2 = train(TINY, TrainConfig(seed=2, **base), pairs, tmp_path / "b")
+    r1 = train(TINY, TrainConfig(seed=1, **base), corpus, tmp_path / "a")
+    r2 = train(TINY, TrainConfig(seed=2, **base), corpus, tmp_path / "b")
     assert r1.final_checkpoint.read_bytes() != r2.final_checkpoint.read_bytes()
 
 
 def test_loss_log_format(tmp_path):
     rng = np.random.default_rng(4)
-    pairs = _tiny_pairs(4, rng)
+    corpus = _tiny_corpus(4, rng)
     cfg = TrainConfig(epochs=2, batch_size=4, adversarial=False, seed=0,
                       checkpoint_every=0)
-    result = train(TINY, cfg, pairs, tmp_path)
+    result = train(TINY, cfg, corpus, tmp_path)
     lines = result.loss_log.read_text().splitlines()
     assert lines[0] == "step,d_real,d_fake,g_adv,g_l1"
     assert len(lines) == 3
@@ -465,10 +489,10 @@ def test_loss_log_format(tmp_path):
 
 def test_periodic_checkpoints(tmp_path):
     rng = np.random.default_rng(4)
-    pairs = _tiny_pairs(8, rng)
+    corpus = _tiny_corpus(8, rng)
     cfg = TrainConfig(epochs=2, batch_size=4, adversarial=False, seed=0,
                       checkpoint_every=2)
-    train(TINY, cfg, pairs, tmp_path)
+    train(TINY, cfg, corpus, tmp_path)
     assert (tmp_path / "ckpt_000002.sgn").exists()
     assert (tmp_path / "ckpt_000004.sgn").exists()
     assert (tmp_path / "ckpt_final.sgn").exists()
@@ -476,10 +500,10 @@ def test_periodic_checkpoints(tmp_path):
 
 def test_adversarial_loop_smoke(tmp_path):
     rng = np.random.default_rng(5)
-    pairs = _tiny_pairs(4, rng)
+    corpus = _tiny_corpus(4, rng)
     cfg = TrainConfig(epochs=2, batch_size=4, adversarial=True, seed=0,
                       checkpoint_every=0)
-    result = train(TINY, cfg, pairs, tmp_path)
+    result = train(TINY, cfg, corpus, tmp_path)
     assert result.disc is not None
     for rep in result.reports:
         for v in (rep.d_real, rep.d_fake, rep.g_adv, rep.g_l1):
