@@ -1,9 +1,10 @@
 """WAV I/O, 48 kHz -> 16 kHz resampling, pre/deemphasis, and windowing.
 
-The filters and windowing are pure functions on `Waveform` values. Signals
-are mono float arrays, nominal range [-1, 1]. `WavReader`, `decimate_blocks`
-and `wav_writer` carry a file through in blocks, so a caller that keeps
-filter state across blocks never holds the whole signal.
+Only WAV reads and writes carry a rate (`Waveform`); the filters and
+windowing are pure functions on mono arrays, nominal range [-1, 1], that
+return float64. `WavReader`, `decimate_blocks` and `wav_writer` carry a
+file through in blocks, so a caller that keeps filter state across blocks
+never holds the whole signal.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def read_wav(path) -> Waveform:
 
 
 def _pcm(samples: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("waveform contains non-finite samples")
     x = np.clip(samples, -1.0, 1.0)
     return np.clip(np.round(x * 32768.0), -32767, 32767).astype("<i2")
 
@@ -117,7 +120,8 @@ def _pcm(samples: np.ndarray) -> np.ndarray:
 @contextmanager
 def wav_writer(path, rate: int) -> Iterator[Callable[[np.ndarray], None]]:
     """Write mono 16-bit PCM block by block: yields a function that
-    appends samples, quantized as `write_wav` quantizes them. The file is
+    appends samples, quantized as `write_wav` quantizes them (a non-finite
+    sample raises ValueError, as `Waveform` does). The file is
     written beside `path` and renamed over it when the block ends without
     an exception (see `atomic.replacing`)."""
     with replacing(path) as fh:
@@ -190,15 +194,15 @@ def _regroup(blocks: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
-def preemphasis(w: Waveform) -> Waveform:
+def preemphasis(x: np.ndarray) -> np.ndarray:
     """First-order high-pass: y[0] = x[0], y[n] = x[n] - PREEMPH * x[n-1]."""
-    x = w.samples
+    x = np.asarray(x, dtype=np.float64)
     y = x.copy()
     y[1:] -= PREEMPH * x[:-1]
-    return Waveform(y, w.sample_rate)
+    return y
 
 
-def deemphasis(w: Waveform) -> Waveform:
+def deemphasis(x: np.ndarray) -> np.ndarray:
     """Exact inverse of preemphasis: y[n] = x[n] + PREEMPH * y[n-1].
 
     The recurrence runs on Python floats, which is the same IEEE double
@@ -206,29 +210,28 @@ def deemphasis(w: Waveform) -> Waveform:
     is bit-identical to it; blocks of _DEEMPH_BLOCK samples keep the
     float lists small.
     """
-    x = w.samples
-    y = np.empty_like(x)
+    y = np.empty(len(x))
     coef, acc = PREEMPH, 0.0    # locals: the inner loop runs once per sample
-    for lo in range(0, x.size, _DEEMPH_BLOCK):
+    for lo in range(0, y.size, _DEEMPH_BLOCK):
         run = []
         for v in x[lo:lo + _DEEMPH_BLOCK].tolist():
             acc = v + coef * acc
             run.append(acc)
         y[lo:lo + _DEEMPH_BLOCK] = run
-    return Waveform(y, w.sample_rate)
+    return y
 
 
-def chunk(w: Waveform, window: int, hop: int) -> tuple[np.ndarray, int]:
+def chunk(x: np.ndarray, window: int, hop: int) -> tuple[np.ndarray, int]:
     """Slice into fixed windows starting at every multiple of hop below the
     signal length; the tail is zero-padded so the last window is full.
 
     Returns (chunks of shape (n, window), pad_len for later trimming).
     """
-    x = w.samples
+    x = np.asarray(x, dtype=np.float64)
     starts, pad_len = window_starts(x.size, window, hop)
     if x.size == 0:
-        return np.zeros((0, window), dtype=x.dtype), 0
-    padded = np.concatenate([x, np.zeros(pad_len, dtype=x.dtype)])
+        return np.zeros((0, window)), 0
+    padded = np.concatenate([x, np.zeros(pad_len)])
     return sliding_window_view(padded, window)[starts], pad_len
 
 
@@ -241,7 +244,7 @@ def window_starts(n: int, window: int, hop: int) -> tuple[np.ndarray, int]:
     return starts, max(int(starts[-1]) + window - n, 0) if n else 0
 
 
-def reassemble(chunks: np.ndarray, pad_len: int) -> Waveform:
+def reassemble(chunks: np.ndarray, pad_len: int) -> np.ndarray:
     """Concatenate non-overlapping windows (chunk() with hop == window, the
     test-time convention) and trim the padding chunk() added.
     """
@@ -254,4 +257,4 @@ def reassemble(chunks: np.ndarray, pad_len: int) -> Waveform:
     flat = chunks.reshape(-1)
     if pad_len:
         flat = flat[:-pad_len]
-    return Waveform(flat.copy(), SAMPLE_RATE)
+    return flat.astype(np.float64)

@@ -334,7 +334,7 @@ def cmd_enhance_wiener(v: dict) -> int:
 
 def cmd_eval(v: dict) -> int:
     cleans, tests = v["clean"], v["test"]
-    if len(cleans) != len(tests):
+    if not cleans or len(cleans) != len(tests):
         raise _UsageError(f"eval: got {len(cleans)} clean and {len(tests)} test files")
     metrics = ("ssnr", "llr") if v["metric"] == "all" else (v["metric"],)
     rows = []

@@ -81,6 +81,8 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
         raise ValueError(f"rate mismatch: {clean.sample_rate} vs {noise.sample_rate}")
     if len(noise) < len(clean):
         raise ValueError(f"noise shorter than clean: {len(noise)} < {len(clean)}")
+    if not len(clean):
+        raise ZeroPowerError("cannot set an SNR against an empty signal")
     n = noise.samples[:len(clean)]
     p_clean = float(np.mean(clean.samples ** 2))
     p_noise = float(np.mean(n ** 2))
@@ -202,7 +204,8 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 
 def write_manifest(path, entries: Iterable[ManifestEntry]) -> None:
-    lines = [f"{e.clean_path}\t{e.noise_ref}\t{e.snr_db:g}\t{e.split}" for e in entries]
+    # repr: the shortest text that reads back as the same float
+    lines = [f"{e.clean_path}\t{e.noise_ref}\t{float(e.snr_db)!r}\t{e.split}" for e in entries]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -243,7 +246,7 @@ def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
             continue
         noisy = mix_at_snr(clean, noise, snr_db)
         for name, w in (("clean", clean), ("noisy", noisy)):
-            x = preemphasis(w).samples
+            x = preemphasis(w.samples)
             part = np.zeros(x.size + pad, np.float32)
             part[:x.size] = x
             parts[name].append(part)

@@ -31,7 +31,6 @@ from . import engine as eg
 from .audio_io import (
     SAMPLE_RATE,
     WavReader,
-    Waveform,
     chunk,
     deemphasis,
     preemphasis,
@@ -286,14 +285,13 @@ def enhance_file(checkpoint_path, in_path, out_path,
         blocks = src.blocks(ENHANCE_BATCH * mcfg.window)
         with wav_writer(out_path, SAMPLE_RATE) as write, no_grad():
             for x in blocks:
-                pre = preemphasis(Waveform(np.concatenate([[x_last], x]), SAMPLE_RATE))
-                windows, pad = chunk(Waveform(pre.samples[1:], SAMPLE_RATE),
-                                     mcfg.window, mcfg.window)
+                pre = preemphasis(np.concatenate([[x_last], x]))[1:]
+                windows, pad = chunk(pre, mcfg.window, mcfg.window)
                 n = windows.shape[0]
                 z = (np.zeros((n, *z_shape), dtype=np.float32) if z_mode == "zero"
                      else sample_z(n, *z_shape, seed=rng).data)
                 g = g_forward(gen, windows.astype(np.float32)[..., None], Tensor(z))
-                y = reassemble(g.data[:, :, 0], pad).samples
-                out = deemphasis(Waveform(np.concatenate([[y_last], y]), SAMPLE_RATE)).samples[1:]
+                y = reassemble(g.data[:, :, 0], pad)
+                out = deemphasis(np.concatenate([[y_last], y]))[1:]
                 write(out)
                 x_last, y_last = x[-1], out[-1]

@@ -4,8 +4,6 @@ a-priori SNR estimation, noise spectrum taken from the leading frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
@@ -25,27 +23,12 @@ FRAME = 512             # STFT frame length
 HOP = 256               # STFT hop
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    frames: np.ndarray      # complex, (n_frames, n_bins)
-    frame_len: int
-    hop: int
-
-    def __post_init__(self):
-        if self.frames.ndim != 2:
-            raise ShapeMismatchError(f"expected (frames, bins), got {self.frames.shape}")
-        if self.frames.shape[1] != self.frame_len // 2 + 1:
-            raise ShapeMismatchError(
-                f"{self.frames.shape[1]} bins inconsistent with frame {self.frame_len}")
-
-
-def stft(w: Waveform, frame: int = FRAME, hop: int = HOP) -> Spectrogram:
+def stft(x: np.ndarray, frame: int = FRAME, hop: int = HOP) -> np.ndarray:
     """Hamming-windowed real FFT with a zero-padded tail so the frames cover the
-    whole signal.
+    whole signal: complex, (n_frames, frame // 2 + 1).
     """
     if not 0 < hop <= frame:
         raise ConfigError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
-    x = w.samples
     if x.size < frame:
         raise TooShortError(f"signal of {x.size} samples shorter than one frame ({frame})")
     win = np.hamming(frame)
@@ -56,36 +39,42 @@ def stft(w: Waveform, frame: int = FRAME, hop: int = HOP) -> Spectrogram:
     rows = np.empty((n_frames, frame // 2 + 1), dtype=np.complex128)
     for b in range(0, n_frames, _BLOCK_FRAMES):
         np.fft.rfft(frames[b:b + _BLOCK_FRAMES] * win, axis=-1, out=rows[b:b + _BLOCK_FRAMES])
-    return Spectrogram(rows, frame, hop)
+    return rows
 
 
-def istft(s: Spectrogram) -> Waveform:
-    """Weighted overlap-add inverse: sum of window-weighted frames divided
-    by the summed squared window, which reconstructs exactly wherever the
-    denominator is nonzero. Output length is (n_frames-1)*hop + frame_len.
+def istft(spec: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    """Weighted overlap-add inverse of a (n_frames, frame // 2 + 1) spectrogram:
+    sum of window-weighted frames divided by the summed squared window, which
+    reconstructs exactly wherever the denominator is nonzero. Output length
+    is (n_frames-1)*hop + frame.
     """
-    win = np.hamming(s.frame_len)
-    n_frames = s.frames.shape[0]
-    length = (n_frames - 1) * s.hop + s.frame_len
+    if not 0 < hop <= frame:
+        raise ConfigError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
+    if spec.ndim != 2:
+        raise ShapeMismatchError(f"expected (frames, bins), got {spec.shape}")
+    if spec.shape[1] != frame // 2 + 1:
+        raise ShapeMismatchError(f"{spec.shape[1]} bins inconsistent with frame {frame}")
+    win = np.hamming(frame)
+    n_frames = spec.shape[0]
+    length = (n_frames - 1) * hop + frame
     num = np.zeros(length)
     den = np.zeros(length)
     # Frames q apart never overlap, so each residue class mod q is one
     # strided add. With q <= 2 a sample sums at most two terms, so the
     # result matches a frame-by-frame overlap-add bit for bit.
-    q = -(-s.frame_len // s.hop)
+    q = -(-frame // hop)
     for b in range(0, n_frames, _BLOCK_FRAMES):
-        rows = np.fft.irfft(s.frames[b:b + _BLOCK_FRAMES], n=s.frame_len, axis=-1)
+        rows = np.fft.irfft(spec[b:b + _BLOCK_FRAMES], n=frame, axis=-1)
         rows *= win
         for m in range(min(q, rows.shape[0])):
             group = rows[m::q]
-            at = (b + m) * s.hop
-            strides = (q * s.hop * num.itemsize, num.itemsize)
+            at = (b + m) * hop
+            strides = (q * hop * num.itemsize, num.itemsize)
             num_view = as_strided(num[at:], group.shape, strides)
             den_view = as_strided(den[at:], group.shape, strides)
             num_view += group
             den_view += win * win
-    out = np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
-    return Waveform(out, SAMPLE_RATE)
+    return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
 
 
 def wiener_gains(power: np.ndarray, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
@@ -127,8 +116,6 @@ def enhance_wiener(noisy: Waveform, alpha: float = ALPHA, noise_frames: int = NO
     """
     if noisy.sample_rate != SAMPLE_RATE:
         raise WrongRateError(f"expected 16 kHz input, got {noisy.sample_rate}")
-    spec = stft(noisy, frame, hop)
-    power = np.abs(spec.frames) ** 2
-    gains = wiener_gains(power, alpha, noise_frames, gain_floor_db)
-    cleaned = Spectrogram(gains * spec.frames, frame, hop)
-    return Waveform(istft(cleaned).samples[:len(noisy)], SAMPLE_RATE)
+    spec = stft(noisy.samples, frame, hop)
+    gains = wiener_gains(np.abs(spec) ** 2, alpha, noise_frames, gain_floor_db)
+    return Waveform(istft(gains * spec, frame, hop)[:len(noisy)], SAMPLE_RATE)

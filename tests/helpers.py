@@ -154,7 +154,8 @@ def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_se
     `resample_48k_to_16k`), preemphasized and windowed whole, z drawn for
     every window at once, the generator run ENHANCE_BATCH windows at a time,
     and the output reassembled and deemphasized whole."""
-    from segan.audio_io import chunk, deemphasis, preemphasis, read_wav, reassemble, write_wav
+    from segan.audio_io import (SAMPLE_RATE, Waveform, chunk, deemphasis, preemphasis, read_wav,
+                                reassemble, write_wav)
     from segan.engine import Tensor, no_grad, sample_z
     from segan.model import g_forward, load_checkpoint
     from segan.trainer import ENHANCE_BATCH
@@ -162,7 +163,7 @@ def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_se
     w = read_wav(in_path)
     if w.sample_rate == 48000:
         w = resample_48k_to_16k(w)
-    windows, pad = chunk(preemphasis(w), mcfg.window, mcfg.window)
+    windows, pad = chunk(preemphasis(w.samples), mcfg.window, mcfg.window)
     n = windows.shape[0]
     if z_mode == "zero":
         z = np.zeros((n, mcfg.bottleneck_len, mcfg.z_channels), dtype=np.float32)
@@ -174,7 +175,7 @@ def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_se
             hi = lo + ENHANCE_BATCH
             g = g_forward(gen, windows[lo:hi].astype(np.float32)[..., None], Tensor(z[lo:hi]))
             out[lo:hi] = g.data[:, :, 0]
-    write_wav(deemphasis(reassemble(out, pad)), out_path)
+    write_wav(Waveform(deemphasis(reassemble(out, pad)), SAMPLE_RATE), out_path)
 
 
 def resample_48k_to_16k(w):

@@ -231,6 +231,14 @@ def test_writer_replaces_only_on_success(tmp_path):
     assert os.listdir(tmp_path) == ["out.wav"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_writer_rejects_non_finite_samples(tmp_path, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        with wav_writer(tmp_path / "out.wav", 16000) as write:
+            write(np.array([0.0, bad]))
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_into_a_missing_directory_names_the_target(tmp_path):
     target = tmp_path / "missing" / "out.wav"
     with pytest.raises(FileNotFoundError) as err:
@@ -254,30 +262,28 @@ def test_written_file_has_the_mode_of_a_plain_open(tmp_path):
 # Emphasis filters
 
 def test_preemphasis_fixture():
-    out = preemphasis(Waveform(np.array([1.0, 1.0, 1.0]), 16000))
-    assert np.allclose(out.samples, [1.0, 0.05, 0.05], atol=1e-15)
+    out = preemphasis(np.array([1.0, 1.0, 1.0]))
+    assert np.allclose(out, [1.0, 0.05, 0.05], atol=1e-15)
 
 
 def test_deemphasis_fixture():
-    out = deemphasis(Waveform(np.array([1.0, 0.0, 0.0]), 16000))
-    assert np.allclose(out.samples, [1.0, 0.95, 0.9025], atol=1e-15)
+    out = deemphasis(np.array([1.0, 0.0, 0.0]))
+    assert np.allclose(out, [1.0, 0.95, 0.9025], atol=1e-15)
 
 
 def test_emphasis_round_trip_below_1e_9():
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, 16000)
-    w = Waveform(x, 16000)
-    back = deemphasis(preemphasis(w)).samples
+    back = deemphasis(preemphasis(x))
     assert np.max(np.abs(back - x)) < 1e-9
-    fwd = preemphasis(deemphasis(w)).samples
+    fwd = preemphasis(deemphasis(x))
     assert np.max(np.abs(fwd - x)) < 1e-9
 
 
 def test_emphasis_filters_match_loop_oracle():
     x = np.random.default_rng(12).uniform(-1, 1, 3000)
-    w = Waveform(x, 16000)
-    assert np.array_equal(preemphasis(w).samples, emphasis_oracle(x, PREEMPH))
-    assert np.array_equal(deemphasis(w).samples, emphasis_oracle(x, PREEMPH, inverse=True))
+    assert np.array_equal(preemphasis(x), emphasis_oracle(x, PREEMPH))
+    assert np.array_equal(deemphasis(x), emphasis_oracle(x, PREEMPH, inverse=True))
     assert np.array_equal(emphasis_oracle(x, 0.0), x)
 
 
@@ -285,7 +291,7 @@ def test_emphasis_filters_match_loop_oracle():
                                2 * _DEEMPH_BLOCK + 7])
 def test_deemphasis_carries_across_blocks(n):
     x = np.random.default_rng(n).uniform(-1, 1, n)
-    out = deemphasis(Waveform(x, 16000)).samples
+    out = deemphasis(x)
     assert np.array_equal(out, emphasis_oracle(x, PREEMPH, inverse=True))
 
 
@@ -293,8 +299,7 @@ def test_deemphasis_carries_across_blocks(n):
 # Chunking
 
 def test_chunk_fixture_10_4_4():
-    w = Waveform(np.arange(10, dtype=np.float64), 16000)
-    chunks, pad = chunk(w, 4, 4)
+    chunks, pad = chunk(np.arange(10, dtype=np.float64), 4, 4)
     assert chunks.shape == (3, 4)
     assert pad == 2
     assert np.array_equal(chunks[0], [0, 1, 2, 3])
@@ -303,8 +308,7 @@ def test_chunk_fixture_10_4_4():
 
 
 def test_chunk_fixture_half_overlap():
-    w = Waveform(np.arange(24576, dtype=np.float64), 16000)
-    chunks, pad = chunk(w, 16384, 8192)
+    chunks, pad = chunk(np.arange(24576, dtype=np.float64), 16384, 8192)
     assert chunks.shape == (3, 16384)
     assert pad == 8192
     assert np.array_equal(chunks[0], np.arange(16384))
@@ -314,19 +318,19 @@ def test_chunk_fixture_half_overlap():
 
 
 def test_chunk_exact_fit_has_no_padding():
-    chunks, pad = chunk(Waveform(np.arange(8, dtype=np.float64), 16000), 4, 4)
+    chunks, pad = chunk(np.arange(8, dtype=np.float64), 4, 4)
     assert chunks.shape == (2, 4)
     assert pad == 0
 
 
 def test_chunk_empty_signal():
-    chunks, pad = chunk(Waveform(np.zeros(0), 16000), 4, 4)
+    chunks, pad = chunk(np.zeros(0), 4, 4)
     assert chunks.shape == (0, 4)
     assert pad == 0
 
 
 def test_chunk_validation():
-    w = Waveform(np.zeros(8), 16000)
+    w = np.zeros(8)
     with pytest.raises(InvalidWindowError):
         chunk(w, 4, 5)
     with pytest.raises(InvalidWindowError):
@@ -337,17 +341,17 @@ def test_chunk_validation():
 
 def test_reassemble_fixtures():
     out = reassemble(np.array([[1.0, 2.0], [3.0, 4.0]]), 0)
-    assert np.array_equal(out.samples, [1, 2, 3, 4])
+    assert np.array_equal(out, [1, 2, 3, 4])
     out = reassemble(np.array([[1.0, 2.0], [3.0, 0.0]]), 1)
-    assert np.array_equal(out.samples, [1, 2, 3])
+    assert np.array_equal(out, [1, 2, 3])
 
 
 def test_chunk_reassemble_identity_50000():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 50000)
-    chunks, pad = chunk(Waveform(x, 16000), 16384, 16384)
+    chunks, pad = chunk(x, 16384, 16384)
     back = reassemble(chunks, pad)
-    assert np.array_equal(back.samples, x)
+    assert np.array_equal(back, x)
 
 
 def test_reassemble_validation():
@@ -357,3 +361,20 @@ def test_reassemble_validation():
         reassemble(np.zeros((2, 4)), -1)
     with pytest.raises(InvalidWindowError):
         reassemble(np.zeros((2, 4)), 9)
+
+
+def test_array_forms_return_float64_for_float32_input():
+    x = np.random.default_rng(13).uniform(-1, 1, 1000)
+    x32 = x.astype(np.float32)
+    wide = x32.astype(np.float64)
+    for f in (preemphasis, deemphasis):
+        out = f(x32)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, f(wide))
+    chunks, pad = chunk(x32, 256, 256)
+    assert chunks.dtype == np.float64
+    assert np.array_equal(chunks, chunk(wide, 256, 256)[0])
+    assert chunk(np.zeros(0, np.float32), 4, 4)[0].dtype == np.float64
+    back = reassemble(chunks.astype(np.float32), pad)
+    assert back.dtype == np.float64
+    assert np.array_equal(back, wide)

@@ -250,6 +250,14 @@ def test_eval_mismatched_counts(tmp_path, capsys):
     assert main(["eval", "--clean", f"{wav},{wav}", "--test", str(wav)]) == 1
 
 
+@pytest.mark.parametrize("listed", ["", ",", " , "])
+def test_eval_empty_lists_are_a_usage_error(tmp_path, capsys, listed):
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--clean", listed, "--test", listed, "--report", str(report)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_eval_missing_file_is_runtime_error(tmp_path, capsys):
     assert main(["eval", "--clean", str(tmp_path / "no.wav"),
                  "--test", str(tmp_path / "no.wav")]) == 2

@@ -1,5 +1,7 @@
 """Synthetic corpus: SNR mixing, signal synthesis, manifests, the training corpus."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ def test_mix_validation():
         mix_at_snr(Waveform(np.zeros(4), 16000), Waveform(np.ones(4), 16000), 0.0)
     with pytest.raises(ZeroPowerError):
         mix_at_snr(c, Waveform(np.zeros(4), 16000), 0.0)
+
+
+def test_mix_rejects_an_empty_clean_signal_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for noise_len in (0, 4):
+            with pytest.raises(ZeroPowerError, match="empty"):
+                mix_at_snr(Waveform(np.zeros(0), 16000), Waveform(np.ones(noise_len), 16000), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +184,14 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(man) == entries
 
 
+@pytest.mark.parametrize("snr_db", [7.123456789, 1e-7, 0.1 + 0.2])
+def test_manifest_keeps_every_bit_of_the_snr(tmp_path, snr_db):
+    _write_clean(tmp_path / "c.wav")
+    entries = [ManifestEntry(str(tmp_path / "c.wav"), SYNTH_PREFIX + "white", snr_db, "train")]
+    write_manifest(tmp_path / "m.tsv", entries)
+    assert load_manifest(tmp_path / "m.tsv")[0].snr_db == snr_db
+
+
 def test_manifest_resolves_relative_paths(tmp_path):
     _write_clean(tmp_path / "c.wav")
     man = tmp_path / "m.tsv"
@@ -286,9 +304,9 @@ def _chunk_rows(utterances, window, hop):
     noisy, clean = [], []
     for c, n, snr_db in utterances:
         if not len(c):
-            continue        # chunk() cuts no row from it (and its mix is NaN)
-        noisy.append(chunk(preemphasis(mix_at_snr(c, n, snr_db)), window, hop)[0])
-        clean.append(chunk(preemphasis(c), window, hop)[0])
+            continue        # chunk() cuts no row from it (and mix_at_snr rejects it)
+        noisy.append(chunk(preemphasis(mix_at_snr(c, n, snr_db).samples), window, hop)[0])
+        clean.append(chunk(preemphasis(c.samples), window, hop)[0])
     return (np.concatenate(noisy).astype(np.float32),
             np.concatenate(clean).astype(np.float32))
 
@@ -310,8 +328,7 @@ def test_build_pairs_residual_is_preemphasized_scaled_noise():
     corpus = build_pairs([(clean, noise, snr_db)], window=256, hop=128)
     g = np.sqrt(np.mean(clean.samples ** 2)
                 / (np.mean(noise.samples ** 2) * 10.0 ** (snr_db / 10.0)))
-    scaled = Waveform(g * noise.samples, 16000)
-    expected_rows, _ = chunk(preemphasis(scaled), 256, 128)
+    expected_rows, _ = chunk(preemphasis(g * noise.samples), 256, 128)
     noisy, clean_rows = _windows(corpus)
     assert len(corpus) == expected_rows.shape[0]
     # each side is stored as float32, so each carries one float32 rounding
