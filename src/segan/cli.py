@@ -28,6 +28,7 @@ from .dataset import (
     synth_clean,
     write_manifest,
 )
+from .engine import scatter_path
 from .errors import ConfigError, SeganError
 from .gradcheck import check_all_ops
 from .metrics import aggregate_mos, llr, load_ratings, metric_means, ssnr, write_report
@@ -435,6 +436,7 @@ def main(argv=None) -> int:
         values = resolve_flags(ns.subcommand, ns)
         for line in _resolved_lines(values):
             print(f"config {ns.subcommand}.{line}")
+        print(f"config engine.scatter={scatter_path()}")
         return _HANDLERS[ns.subcommand](values)
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

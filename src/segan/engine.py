@@ -18,8 +18,11 @@ against finite differences.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import mmap
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -359,9 +362,67 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
 # and the extra scratch never exceeds memory the weights already hold.
 # Blocks hold whole examples when one fits in that bound, else runs of
 # positions of one example, so the scratch memory and the summation order
-# depend on shapes alone.
+# depend on shapes alone. Where blocks hold whole examples, the scatter
+# skips the column buffer and has BLAS add each group of taps straight into
+# the output (_gemm_accumulate).
 
 _BLOCK_BYTES = 2 << 20
+_BLAS_MIN_ROWS = 1024   # fewer short rows than this and the numpy fold is faster
+
+
+def _find_blas():
+    """(file name, {dtype: cblas ?gemm}) of the OpenBLAS numpy has already
+    loaded, or None. RTLD_NOLOAD only hands back a library that is already
+    in the process, so this never loads a second BLAS."""
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LOCAL)
+            fns = {np.dtype(np.float32): (lib.scipy_cblas_sgemm64_, ctypes.c_float),
+                   np.dtype(np.float64): (lib.scipy_cblas_dgemm64_, ctypes.c_double)}
+        except (OSError, AttributeError):
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        for fn, real in fns.values():
+            # (order, transA, transB, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc)
+            fn.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [real, ptr, i64, ptr, i64, real, ptr, i64]
+            fn.restype = None
+        return os.path.basename(path), {dt: fn for dt, (fn, _) in fns.items()}
+    return None
+
+
+_BLAS = _find_blas()
+
+
+def scatter_path() -> str:
+    """Which form `_scatter` takes where its selection rule allows BLAS."""
+    return f"blas-accumulate ({_BLAS[0]})" if _BLAS is not None else "numpy-fold"
+
+
+def _gemm_accumulate(out: np.ndarray, row: int, a: np.ndarray, b: np.ndarray) -> None:
+    """out[row:row + len(a), :len(b)] += a @ b.T, as one ?gemm at beta = 1.
+
+    Every operand must be a C-contiguous 2-D array of one float dtype, a and
+    b must share their inner size, and the rows written must lie inside
+    out; anything else raises ValueError before BLAS is reached.
+    """
+    if (_BLAS is None or any(not isinstance(x, np.ndarray) or x.ndim != 2 or x.size == 0
+                             or not x.flags.c_contiguous for x in (out, a, b))
+            or not out.flags.writeable):
+        raise ValueError("_gemm_accumulate needs BLAS and non-empty C-contiguous 2-D arrays")
+    gemm = _BLAS[1].get(out.dtype)
+    if gemm is None or a.dtype != out.dtype or b.dtype != out.dtype:
+        raise ValueError(f"_gemm_accumulate dtypes {out.dtype}, {a.dtype}, {b.dtype}: "
+                         "need one of float32 or float64")
+    (m, k), (n, kb), (rows, ldc) = a.shape, b.shape, out.shape
+    if kb != k or n > ldc or not 0 <= row <= rows - m:
+        raise ValueError(f"_gemm_accumulate shapes out {out.shape} at row {row}, "
+                         f"a {a.shape}, b {b.shape} do not fit")
+    c = out.ctypes.data + row * ldc * out.itemsize
+    # row-major (101), A as stored (111), B transposed (112)
+    gemm(101, 111, 112, m, n, k, 1.0, a.ctypes.data, k, b.ctypes.data, k, 1.0, c, ldc)
 
 
 def _pad(a: np.ndarray, pad_total: int, pad_left: int) -> np.ndarray:
@@ -409,20 +470,48 @@ def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dty
 def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype) -> np.ndarray:
     """Short -> long, the adjoint of _correlate: out[:, o*stride + k] += short[:, o] @ w[k].T.
 
-    Each block's columns come from one GEMM and are folded into the output
-    by strided adds: stride taps per add (contiguous runs of stride * C_long
-    values), or one tap per add when C_long is 1, where runs of two values
-    make numpy's adds 2-4x slower.
+    The output is viewed as rows of stride positions, so tap group g (taps
+    g*stride to g*stride + stride - 1) of short position o adds to row o + g.
+    Both forms below add each output's taps in group order, and the GEMM's
+    inner sum runs over C_short in both, so they give the same bits:
+    - BLAS accumulation, when numpy's OpenBLAS was found, C_long > 1, all
+      arrays share one float dtype, the blocks hold whole examples (split
+      examples are summed block by block, in another order) and there are
+      at least _BLAS_MIN_ROWS short rows. short is zero-padded to R rows
+      per example, R = max(ceil(long_len / stride), short_len + groups - 1),
+      so every example has one row stride, and each tap group is one ?gemm
+      at beta = 1 over all examples: output rows g .. g + batch * R - 1 +=
+      padded short @ W_g.T. A padding row adds 0 * w, +0.0 for finite
+      weights, which leaves every sum as it was. Scratch: the padded copy
+      of short (batch * R * C_short values) and no column buffer.
+    - The numpy fold everywhere else: each block's columns come from one
+      GEMM and are folded into the output by strided adds, stride taps per
+      add (contiguous runs of stride * C_long values), or one tap per add
+      when C_long is 1, where runs of two values make numpy's adds 2-4x
+      slower. Scratch: one column block, at most max(_BLOCK_BYTES, w.nbytes).
     """
     width, c_long, c_short = w.shape
     batch, short_len = short.shape[:2]
+    groups = -(-width // stride)
+    blocks = _blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes)
+    step = stride * c_long
+    if (_BLAS is not None and c_long > 1 and blocks[0][1].stop == short_len
+            and batch * short_len >= _BLAS_MIN_ROWS and short.dtype == w.dtype == dtype):
+        rows = max(-(-long_len // stride), short_len + groups - 1)
+        a = np.zeros((batch, rows, c_short), dtype=dtype)
+        a[:, :short_len] = short
+        a = a.reshape(batch * rows, c_short)
+        out = np.zeros((batch * rows + groups - 1, step), dtype=dtype)   # groups - 1 spill rows
+        wk = np.ascontiguousarray(w).reshape(width * c_long, c_short)
+        for g in range(groups):
+            _gemm_accumulate(out, g, a, wk[g * step:(g + 1) * step])
+        return out[:batch * rows].reshape(batch, rows * stride, c_long)[:, :long_len]
     group = stride if c_long > 1 else 1
     # room for every tap of every block: rows of stride positions
-    rows = max(-(-long_len // stride), short_len + -(-width // stride))
+    rows = max(-(-long_len // stride), short_len + groups)
     out = np.zeros((batch, rows * stride * c_long), dtype=dtype)
     wk = w.reshape(width * c_long, c_short).T
-    step = stride * c_long
-    for ex, pos in _blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes):
+    for ex, pos in blocks:
         blk = short[ex, pos]
         n = blk.shape[1]
         cols = (blk.reshape(-1, c_short) @ wk).reshape(blk.shape[0], n, width * c_long)

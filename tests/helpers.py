@@ -10,8 +10,10 @@ from __future__ import annotations
 import hashlib
 import struct
 import wave
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 
 def write_raw_wav(path, pcm_values, rate=16000, channels=1, sampwidth=2):
@@ -134,6 +136,23 @@ def tap_grad_oracle(long, short, w, stride):
                               w.nbytes):
         gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
     return gw.T.reshape(width, c_long, c_short)
+
+
+SCATTER_FORMS = ("blas", "fold")
+
+
+@contextmanager
+def scatter_form(form):
+    """Run the engine's scatter in one form: "blas" accumulates through BLAS
+    at every shape the rest of its rule allows, small ones included (a
+    no-op where numpy's OpenBLAS was not found), and "fold" never does."""
+    from segan import engine as eg
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "blas":
+            mp.setattr(eg, "_BLAS_MIN_ROWS", 0)
+        else:
+            mp.setattr(eg, "_BLAS", None)
+        yield
 
 
 def archive_bytes(entries, count=None):

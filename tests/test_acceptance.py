@@ -10,12 +10,13 @@ adversarial run.
 import sys
 import tempfile
 import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import params_digest, tone
+from helpers import SCATTER_FORMS, params_digest, scatter_form, tone
 
 from segan import engine as eg
 from segan.audio_io import (Waveform, chunk, decimate_blocks, deemphasis, preemphasis,
@@ -146,14 +147,16 @@ def test_criterion_03_conv_adjointness():
                            int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                            int(rng.integers(1, 5)), int(rng.integers(0, 10_000))))
         worst = 0.0
-        for width, stride, out_len, batch, cin, cout, seed in combos:
+        for (width, stride, out_len, batch, cin, cout, seed), form in product(combos,
+                                                                              SCATTER_FORMS):
             case = np.random.default_rng(seed)
             x = case.standard_normal((batch, out_len * stride, cin))
             w = case.standard_normal((width, cin, cout))
             y = case.standard_normal((batch, out_len, cout))
-            lhs = float(np.sum(eg.conv1d(Tensor(x), Tensor(w), stride=stride).data * y))
-            rhs = float(np.sum(x * eg.conv1d_transpose(Tensor(y), Tensor(w),
-                                                       stride=stride).data))
+            with scatter_form(form):
+                lhs = float(np.sum(eg.conv1d(Tensor(x), Tensor(w), stride=stride).data * y))
+                rhs = float(np.sum(x * eg.conv1d_transpose(Tensor(y), Tensor(w),
+                                                           stride=stride).data))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
         assert worst < 1e-10, worst
 

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from segan import engine as eg
 from segan.audio_io import Waveform, read_wav, write_wav
 from segan.cli import FULL_SCALE_LEDGER, SUBCOMMANDS, main, parse_config_file
 from segan.dataset import load_manifest, synth_clean
@@ -82,6 +83,12 @@ def test_shapes_prints_resolved_config(capsys):
     out = capsys.readouterr().out
     assert "config shapes.z_channels=512" in out
     assert "bottleneck+z" in out
+
+
+def test_every_run_names_its_scatter_path(capsys):
+    assert main(["shapes"]) == 0
+    want = "numpy-fold" if eg._BLAS is None else f"blas-accumulate ({eg._BLAS[0]})"
+    assert f"config engine.scatter={want}" in capsys.readouterr().out.splitlines()
 
 
 # the library code each subcommand's flags feed

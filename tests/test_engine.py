@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (conv1d_oracle, conv1d_transpose_oracle, conv1d_weight_grad_oracle,
-                     reduced_adversarial, tap_grad_oracle, vbn_composite)
+from helpers import (SCATTER_FORMS, conv1d_oracle, conv1d_transpose_oracle,
+                     conv1d_weight_grad_oracle, reduced_adversarial, scatter_form, tap_grad_oracle,
+                     vbn_composite)
 
 from segan import engine as eg
 from segan.engine import Parameter, Tensor, backward, no_grad, sample_z
@@ -261,21 +262,25 @@ def test_conv1d_transpose_matches_bruteforce():
 def test_conv_and_transpose_are_each_others_gradients_bitwise(width, stride):
     # conv1d_transpose(y, w) is conv1d's x-gradient for upstream y, conv1d(x, w)
     # is conv1d_transpose's y-gradient for upstream x, and both give the same
-    # weight gradient; float32, widths below and above the stride.
+    # weight gradient; float32, widths below and above the stride, both
+    # scatter forms.
     rng = np.random.default_rng(10 * width + stride)
     x = rng.standard_normal((2, 5 * stride, 3)).astype(np.float32)
     y = rng.standard_normal((2, 5, 2)).astype(np.float32)
     w = rng.standard_normal((width, 3, 2)).astype(np.float32)
 
-    cx, cw = Parameter("x", x), Parameter("w", w)
-    backward(eg.mul(eg.conv1d(cx, cw, stride=stride), Tensor(y)).sum())
-    ty, tw = Parameter("y", y), Parameter("w", w)
-    backward(eg.mul(eg.conv1d_transpose(ty, tw, stride=stride), Tensor(x)).sum())
+    for form in SCATTER_FORMS:
+        with scatter_form(form):
+            cx, cw = Parameter("x", x), Parameter("w", w)
+            backward(eg.mul(eg.conv1d(cx, cw, stride=stride), Tensor(y)).sum())
+            ty, tw = Parameter("y", y), Parameter("w", w)
+            backward(eg.mul(eg.conv1d_transpose(ty, tw, stride=stride), Tensor(x)).sum())
+            up = eg.conv1d_transpose(Tensor(y), Tensor(w), stride=stride).data
 
-    assert np.array_equal(cx.grad, eg.conv1d_transpose(Tensor(y), Tensor(w), stride=stride).data)
-    assert np.array_equal(ty.grad, eg.conv1d(Tensor(x), Tensor(w), stride=stride).data)
-    assert np.array_equal(cw.grad, tw.grad)
-    assert cx.grad.dtype == ty.grad.dtype == cw.grad.dtype == np.float32
+        assert np.array_equal(cx.grad, up), form
+        assert np.array_equal(ty.grad, eg.conv1d(Tensor(x), Tensor(w), stride=stride).data)
+        assert np.array_equal(cw.grad, tw.grad)
+        assert cx.grad.dtype == ty.grad.dtype == cw.grad.dtype == np.float32
 
 
 # (length of the long side, width, stride, long channels, short channels):
@@ -323,20 +328,23 @@ def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, l
     x = rng.standard_normal((3, length, c_long))
     w = rng.standard_normal((width, c_long, c_short))
     g = rng.standard_normal((3, out_len, c_short))
-
-    cx, cw = Parameter("x", x), Parameter("w", w)
-    y = eg.conv1d(cx, cw, stride=stride)
-    backward(eg.mul(y, Tensor(g)).sum())
-    assert np.max(np.abs(y.data - conv1d_oracle(x, w, None, stride))) <= 1e-12
-    assert np.max(np.abs(cw.grad - conv1d_weight_grad_oracle(x, g, width, stride))) <= 1e-12
     # the input gradient is the transpose of g (every length here divides by the stride)
     want = conv1d_transpose_oracle(g, w, None, stride)
-    assert np.max(np.abs(cx.grad - want)) <= 1e-12
-    up = eg.conv1d_transpose(Tensor(g), Tensor(w), stride=stride).data
-    assert np.max(np.abs(up - want)) <= 1e-12
-    # correlate, weight gradient, scatter, scatter
     shape = KERNEL_SHAPES.index((length, width, stride, c_long, c_short))
-    assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * 4
+
+    for form in SCATTER_FORMS:
+        calls.clear()
+        with scatter_form(form):
+            cx, cw = Parameter("x", x), Parameter("w", w)
+            y = eg.conv1d(cx, cw, stride=stride)
+            backward(eg.mul(y, Tensor(g)).sum())
+            up = eg.conv1d_transpose(Tensor(g), Tensor(w), stride=stride).data
+        assert np.max(np.abs(y.data - conv1d_oracle(x, w, None, stride))) <= 1e-12
+        assert np.max(np.abs(cw.grad - conv1d_weight_grad_oracle(x, g, width, stride))) <= 1e-12
+        assert np.max(np.abs(cx.grad - want)) <= 1e-12, form
+        assert np.max(np.abs(up - want)) <= 1e-12, form
+        # correlate, weight gradient, scatter, scatter
+        assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * 4
 
 
 def test_blocks_are_bounded_by_the_larger_of_the_cap_and_the_weights():
@@ -383,25 +391,26 @@ def test_conv_kernels_repeat_bitwise_in_float32(length, width, stride, c_long, c
         assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
-def _train_adv_tap_shapes():
-    """(long, short, weight) shapes and stride of every weight-gradient call
-    in one reduced adversarial step at batch 16 (the train-adv workload)."""
+def _train_adv_calls(kernel):
+    """The distinct arguments, arrays given by their shapes, of every call
+    to the engine kernel named `kernel` in one reduced adversarial step at
+    batch 16 (the train-adv workload)."""
     from segan.trainer import TrainConfig, train_step
-    shapes, tap_grad = set(), eg._tap_grad
+    calls, fn = set(), getattr(eg, kernel)
 
-    def spy(long, short, w, stride):
-        shapes.add((long.shape, short.shape, w.shape, stride))
-        return tap_grad(long, short, w, stride)
-    eg._tap_grad = spy
+    def spy(*args):
+        calls.add(tuple(a.shape if isinstance(a, np.ndarray) else a for a in args))
+        return fn(*args)
+    setattr(eg, kernel, spy)
     try:
         train_step(*reduced_adversarial(), TrainConfig(epochs=1))
     finally:
-        eg._tap_grad = tap_grad
-    return sorted(shapes)
+        setattr(eg, kernel, fn)
+    return sorted(calls, key=repr)
 
 
 def test_weight_gradient_is_bitwise_the_transposed_product(monkeypatch):
-    shapes = _train_adv_tap_shapes()
+    shapes = _train_adv_calls("_tap_grad")
     assert len(shapes) >= 10
     regimes = set()
     rng = np.random.default_rng(11)
@@ -441,6 +450,86 @@ def test_weight_gradient_scratch_is_one_column_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (w.nbytes + block), (peak, w.nbytes, block)
+
+
+def _full_scale_decoder_scatters():
+    """(short, weight) shapes, stride and long length of the scatter of each
+    full-scale decoder layer at ENHANCE_BATCH windows that has at least
+    _BLAS_MIN_ROWS short rows; the deeper ones always take the numpy fold."""
+    cfg = GeneratorConfig()
+    enc_in = [1, *cfg.enc_channels[:-1]]
+    for k in range(1, len(cfg.enc_channels) + 1):
+        n = cfg.window // cfg.stride ** k
+        c_short = (2 * cfg.enc_channels[k - 1] if k < len(cfg.enc_channels)
+                   else cfg.enc_channels[-1] + cfg.z_channels)
+        pad_total = eg._conv_geometry(n * cfg.stride, cfg.filter_width, cfg.stride)[1]
+        if ENHANCE_BATCH * n >= eg._BLAS_MIN_ROWS:
+            yield ((ENHANCE_BATCH, n, c_short), (cfg.filter_width, enc_in[k - 1], c_short),
+                   cfg.stride, n * cfg.stride + pad_total)
+
+
+@pytest.mark.skipif(eg._BLAS is None, reason="numpy's OpenBLAS was not found")
+def test_scatter_forms_are_bitwise_equal(monkeypatch):
+    # BLAS accumulation against the numpy fold at every train-adv scatter
+    # and every full-scale decoder scatter it can take, in both float dtypes
+    # and in every block regime; the rule picks each form somewhere in each.
+    # Full-scale weights outweigh caps of 1 and 200 bytes, so under those
+    # the rule picks the form it picks at the default: they are not rerun.
+    default = eg._BLOCK_BYTES
+    cases = [(call[:4], (default, 1, 200, 1 << 40)) for call in _train_adv_calls("_scatter")]
+    assert len(cases) >= 8
+    cases += [(call, (default, 1 << 40)) for call in _full_scale_decoder_scatters()]
+    taken, gemm = [], eg._gemm_accumulate
+
+    def spy(*args):
+        taken.append(args[1])
+        gemm(*args)
+    monkeypatch.setattr(eg, "_gemm_accumulate", spy)
+    rng = np.random.default_rng(13)
+    forms = {}
+    for dtype in (np.float32, np.float64):
+        for (short_shape, w_shape, stride, long_len), caps in cases:
+            short = rng.standard_normal(short_shape).astype(dtype)
+            w = rng.standard_normal(w_shape).astype(dtype)
+            for block_bytes in caps:
+                monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+                taken.clear()
+                got = eg._scatter(short, w, stride, long_len, dtype)
+                forms.setdefault(block_bytes, set()).add(bool(taken))
+                if not taken:
+                    continue            # it ran the fold itself
+                assert taken == list(range(-(-w_shape[0] // stride)))
+                with scatter_form("fold"):
+                    want = eg._scatter(short, w, stride, long_len, dtype)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (block_bytes, dtype, short_shape, w_shape)
+    assert all(seen == {True, False} for seen in forms.values()), forms
+
+
+def test_blas_accumulate_rejects_malformed_calls():
+    rng = np.random.default_rng(14)
+    out = np.zeros((6, 4), np.float32)
+    a, b = (rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2))
+    frozen = out.copy()
+    frozen.flags.writeable = False
+    for args in [(out, 3, a, b), (out, -1, a, b),                   # rows past either end
+                 (out, 0, a, b[:, :2].copy()),                      # inner sizes differ
+                 (out, 0, a, np.ones((5, 3), np.float32)),          # wider than out's rows
+                 (out, 0, a.astype(np.float64), b),                 # mixed dtypes
+                 (out.astype(np.float16), 0, a.astype(np.float16), b.astype(np.float16)),
+                 (out.astype(np.int32), 0, a.astype(np.int32), b.astype(np.int32)),
+                 (out, 0, a[::2], b), (out, 0, a, b.T), (np.zeros((4, 6), np.float32).T, 0, a, b),
+                 (out, 0, a.ravel(), b), (out, 0, a[:0], b), (frozen, 0, a, b),
+                 (out, 0, a.tolist(), b)]:
+        with pytest.raises(ValueError):
+            eg._gemm_accumulate(*args)
+    assert not out.any()
+    if eg._BLAS is not None:
+        want = rng.standard_normal((6, 4)).astype(np.float32)
+        got = want.copy()
+        want[2:6, :3] += a @ b[:3].T
+        eg._gemm_accumulate(got, 2, a, b[:3])
+        assert np.array_equal(got, want)
 
 
 def test_conv1d_identity_kernel():
@@ -487,8 +576,10 @@ def test_adjoint_identity_random_shapes(out_len, half_width, stride, seed):
     w = rng.standard_normal((width, cin, cout))
     y = rng.standard_normal((2, out_len, cout))
     lhs = float(np.sum(eg.conv1d(Tensor(x), Tensor(w), stride=stride).data * y))
-    rhs = float(np.sum(x * eg.conv1d_transpose(Tensor(y), Tensor(w), stride=stride).data))
-    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
+    for form in SCATTER_FORMS:
+        with scatter_form(form):
+            rhs = float(np.sum(x * eg.conv1d_transpose(Tensor(y), Tensor(w), stride=stride).data))
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30), form
 
 
 def test_conv_validation_errors():
