@@ -1,10 +1,12 @@
 """WAV I/O, 48 kHz -> 16 kHz resampling, pre/deemphasis, and windowing.
 
-Only WAV reads and writes carry a rate (`Waveform`); the filters and
-windowing are pure functions on mono arrays, nominal range [-1, 1], that
-return float64. `WavReader`, `decimate_blocks` and `wav_writer` carry a
-file through in blocks, so a caller that keeps filter state across blocks
-never holds the whole signal.
+Reading a WAV is the one place that knows about sample rates: a 16 kHz
+file is read as is, a 48 kHz one is decimated to 16 kHz on the way in, and
+any other rate raises WrongRateError. Everything past the read, and every
+write, is mono float64 at SAMPLE_RATE, nominal range [-1, 1].
+`WavReader`, `decimate_blocks` and `wav_writer` carry a file through in
+blocks, so a caller that keeps filter state across blocks never holds the
+whole signal.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import wave
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -27,29 +28,6 @@ PREEMPH = 0.95          # first-order preemphasis coefficient
 _DEEMPH_BLOCK = 1 << 14  # deemphasis samples per list: 16k ran faster than 4k, 64k or one list
 _TAPS = 127             # length of the 48 kHz -> 16 kHz decimation filter
 _DELAY = (_TAPS - 1) // 2
-
-
-@dataclass(frozen=True)
-class Waveform:
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", arr)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if arr.ndim != 1:
-            raise ValueError(f"expected mono 1-D samples, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("waveform contains non-finite samples")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 class WavReader:
@@ -104,10 +82,11 @@ class WavReader:
         raise WrongRateError(f"{self.path}: expected 16 or 48 kHz, got {self.rate}")
 
 
-def read_wav(path) -> Waveform:
-    """Read a mono 16-bit PCM WAV; samples scaled by 1/32768 into [-1, 1)."""
+def read_wav(path) -> np.ndarray:
+    """A mono 16-bit PCM WAV's samples at 16 kHz, scaled by 1/32768 into
+    [-1, 1): the whole of `WavReader.blocks` as its one block."""
     with WavReader(path) as r:
-        return Waveform(r.read(r.frames), r.rate)
+        return next(r.blocks(max(r.frames, 1)), np.zeros(0))
 
 
 def _pcm(samples: np.ndarray) -> np.ndarray:
@@ -118,30 +97,30 @@ def _pcm(samples: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def wav_writer(path, rate: int) -> Iterator[Callable[[np.ndarray], None]]:
-    """Write mono 16-bit PCM block by block: yields a function that
-    appends samples, quantized as `write_wav` quantizes them (a non-finite
-    sample raises ValueError, as `Waveform` does). The file is
-    written beside `path` and renamed over it when the block ends without
-    an exception (see `atomic.replacing`)."""
+def wav_writer(path) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write mono 16-bit PCM at SAMPLE_RATE block by block: yields a
+    function that appends samples, quantized as `write_wav` quantizes them
+    (a non-finite sample raises ValueError). The file is written beside
+    `path` and renamed over it when the block ends without an exception
+    (see `atomic.replacing`)."""
     with replacing(path) as fh:
         wav = wave.open(fh, "wb")
         try:
             wav.setnchannels(1)
             wav.setsampwidth(2)
-            wav.setframerate(rate)
+            wav.setframerate(SAMPLE_RATE)
             yield lambda samples: wav.writeframes(_pcm(samples))
         finally:
             wav.close()
 
 
-def write_wav(w: Waveform, path) -> None:
-    """Write mono 16-bit PCM. Out-of-range samples are clipped, then
-    quantized as round(x * 32768) clamped to [-32767, 32767], so values a
-    reader produced (k / 32768) come back bit-exact.
+def write_wav(x: np.ndarray, path) -> None:
+    """Write mono 16-bit PCM at SAMPLE_RATE. Out-of-range samples are
+    clipped, then quantized as round(x * 32768) clamped to [-32767, 32767],
+    so values a reader produced (k / 32768) come back bit-exact.
     """
-    with wav_writer(path, w.sample_rate) as write:
-        write(w.samples)
+    with wav_writer(path) as write:
+        write(x)
 
 
 def _design_lowpass(num_taps: int, cutoff_hz: float, rate: int) -> np.ndarray:

@@ -121,7 +121,6 @@ SUBCOMMANDS: dict[str, list[Flag]] = {
         Flag("n_utterances", _int, 12, "number of clean utterances"),
         Flag("duration_s", _float, help="seconds per utterance"),
         Flag("seed", _int, help="corpus seed"),
-        Flag("rate", _int, help="sample rate"),
         Flag("kinds", _str_list, tuple(k.value for k in NoiseKind), "noise kinds to cycle through"),
         Flag("snrs", _float_list, (0.0, 5.0, 10.0, 15.0), "SNR grid in dB"),
         Flag("test_fraction", _float, 0.25, "fraction of utterances held out"),
@@ -148,7 +147,7 @@ SUBCOMMANDS: dict[str, list[Flag]] = {
         Flag("z_seed", _int, help="latent seed for z_mode=seeded"),
     ]),
     "enhance-wiener": _flags([enhance_wiener], [
-        Flag("in", str, required=True, help="input WAV (16 kHz)"),
+        Flag("in", str, required=True, help="input WAV (16 or 48 kHz)"),
         Flag("out", str, required=True, help="output WAV path"),
         Flag("alpha", _float, help="decision-directed smoothing"),
         Flag("noise_frames", _int, help="leading noise-only frames"),
@@ -259,8 +258,6 @@ def cmd_synth_data(v: dict) -> int:
     if n < 1:
         raise ConfigError("n_utterances must be >= 1")
     kinds, snrs = v["kinds"], v["snrs"]
-    if v["rate"] < 1:
-        raise ConfigError(f"synth-data.rate must be positive, got {v['rate']}")
     if v["seed"] < 0:
         raise ConfigError(f"synth-data.seed must be >= 0, got {v['seed']}")
     if not v["duration_s"] > 0:
@@ -282,10 +279,9 @@ def cmd_synth_data(v: dict) -> int:
     n_test = round(n * v["test_fraction"]) if n > 1 else 0
     entries = []
     for i in range(n):
-        wf = synth_clean(seed=v["seed"] * 7919 + i,
-                         duration_s=v["duration_s"], rate=v["rate"])
+        clean = synth_clean(seed=v["seed"] * 7919 + i, duration_s=v["duration_s"])
         name = f"clean_{i:03d}.wav"
-        write_wav(wf, out / name)
+        write_wav(clean, out / name)
         kind = kinds[i % len(kinds)]
         snr = snrs[(i // len(kinds)) % len(snrs)]
         split = "test" if i >= n - n_test else "train"

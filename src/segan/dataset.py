@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import SAMPLE_RATE, Waveform, preemphasis, read_wav, window_starts
+from .audio_io import SAMPLE_RATE, preemphasis, read_wav, window_starts
 from .errors import ManifestError, ZeroPowerError
 
 
@@ -73,38 +73,35 @@ def _rng_for(kind: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(kind.encode())])
 
 
-def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
+def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
     """clean + g * noise with g chosen so the mean-square power ratio over
     the full clean duration equals snr_db exactly.
     """
-    if clean.sample_rate != noise.sample_rate:
-        raise ValueError(f"rate mismatch: {clean.sample_rate} vs {noise.sample_rate}")
     if len(noise) < len(clean):
         raise ValueError(f"noise shorter than clean: {len(noise)} < {len(clean)}")
     if not len(clean):
         raise ZeroPowerError("cannot set an SNR against an empty signal")
-    n = noise.samples[:len(clean)]
-    p_clean = float(np.mean(clean.samples ** 2))
+    n = noise[:len(clean)]
+    p_clean = float(np.mean(clean ** 2))
     p_noise = float(np.mean(n ** 2))
     if p_clean <= 0.0 or p_noise <= 0.0:
         raise ZeroPowerError("cannot set an SNR against a zero-energy signal")
     g = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return Waveform(clean.samples + g * n, clean.sample_rate)
+    return clean + g * n
 
 
-def _time_axis(duration_s: float, rate: int) -> np.ndarray:
+def _time_axis(duration_s: float) -> np.ndarray:
     """Sample times in seconds of a signal duration_s long."""
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    return np.arange(round(duration_s * rate)) / rate
+    return np.arange(round(duration_s * SAMPLE_RATE)) / SAMPLE_RATE
 
 
-def synth_clean(seed: int = 0, duration_s: float = 1.0,
-                rate: int = SAMPLE_RATE) -> Waveform:
+def synth_clean(seed: int = 0, duration_s: float = 1.0) -> np.ndarray:
     """Harmonic complex: random f0 in 80-300 Hz, 3-8 harmonics with strictly
     decaying amplitudes, slow sinusoidal amplitude envelope, peak <= 0.8.
     """
-    t = _time_axis(duration_s, rate)
+    t = _time_axis(duration_s)
     rng = _rng_for("clean:voice", seed)
     f0 = rng.uniform(80.0, 300.0)
     n_harm = int(rng.integers(3, 9))
@@ -118,13 +115,12 @@ def synth_clean(seed: int = 0, duration_s: float = 1.0,
     sig *= env
     peak = np.max(np.abs(sig))
     sig *= 0.8 * rng.uniform(0.85, 1.0) / peak
-    return Waveform(sig, rate)
+    return sig
 
 
-def synth_noise(kind, seed: int = 0, duration_s: float = 1.0,
-                rate: int = SAMPLE_RATE) -> Waveform:
+def synth_noise(kind, seed: int = 0, duration_s: float = 1.0) -> np.ndarray:
     """Deterministic noise of the given kind, peak-normalized to <= 0.8."""
-    t = _time_axis(duration_s, rate)
+    t = _time_axis(duration_s)
     kind = NoiseKind(kind)
     rng = _rng_for(f"noise:{kind.value}", seed)
     n = t.size
@@ -136,7 +132,7 @@ def synth_noise(kind, seed: int = 0, duration_s: float = 1.0,
         # slightly steeper than 1/f so octave-band energies order strictly
         white = rng.standard_normal(n)
         spec = np.fft.rfft(white)
-        freq = np.fft.rfftfreq(n, 1.0 / rate)
+        freq = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
         shaping = np.ones_like(freq)
         shaping[1:] = freq[1:] ** -0.75
         shaping[0] = 0.0
@@ -154,7 +150,7 @@ def synth_noise(kind, seed: int = 0, duration_s: float = 1.0,
     peak = np.max(np.abs(sig))
     if peak > 0:
         sig *= 0.8 / peak
-    return Waveform(sig, rate)
+    return sig
 
 
 SYNTH_PREFIX = "SYNTH:"
@@ -210,8 +206,9 @@ def write_manifest(path, entries: Iterable[ManifestEntry]) -> None:
 
 
 def iter_utterances(entries: Iterable[ManifestEntry], split: str,
-                    seed: int = 0) -> Iterator[tuple[Waveform, Waveform, float]]:
-    """Load (or synthesize) each entry's clean and noise signals.
+                    seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Load (or synthesize) each entry's clean and noise signals, at
+    16 kHz as `read_wav` gives them.
 
     Synth noises draw a per-entry seed from the base seed and the entry
     index, so streams are reproducible.
@@ -223,14 +220,13 @@ def iter_utterances(entries: Iterable[ManifestEntry], split: str,
         if e.noise_ref.startswith(SYNTH_PREFIX):
             kind = e.noise_ref[len(SYNTH_PREFIX):]
             noise = synth_noise(kind, seed=seed * 1000003 + idx,
-                                duration_s=len(clean) / clean.sample_rate,
-                                rate=clean.sample_rate)
+                                duration_s=len(clean) / SAMPLE_RATE)
         else:
             noise = read_wav(e.noise_ref)
         yield clean, noise, e.snr_db
 
 
-def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
+def build_pairs(utterances: Iterable[tuple[np.ndarray, np.ndarray, float]],
                 window: int, hop: int) -> Corpus:
     """Mix and preemphasize each utterance, then lay clean and noisy end to
     end with identical window offsets. The window count equals the summed
@@ -245,8 +241,8 @@ def build_pairs(utterances: Iterable[tuple[Waveform, Waveform, float]],
         if not at.size:
             continue
         noisy = mix_at_snr(clean, noise, snr_db)
-        for name, w in (("clean", clean), ("noisy", noisy)):
-            x = preemphasis(w.samples)
+        for name, sig in (("clean", clean), ("noisy", noisy)):
+            x = preemphasis(sig)
             part = np.zeros(x.size + pad, np.float32)
             part[:x.size] = x
             parts[name].append(part)

@@ -10,11 +10,11 @@ class SeganError(Exception):
 
 
 class UnsupportedFormatError(SeganError):
-    """WAV file is not PCM 16-bit mono, or an unexpected sample rate."""
+    """WAV file is not readable uncompressed 16-bit mono PCM."""
 
 
 class WrongRateError(SeganError):
-    """Operation requires a specific input sample rate."""
+    """WAV file is at a sample rate other than 16 or 48 kHz."""
 
 
 class InvalidWindowError(SeganError):

@@ -14,13 +14,11 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import Waveform
 from .errors import (
     AllFramesSilentError,
     IncompleteTripletError,
     LengthMismatchError,
     NumericalError,
-    WrongRateError,
 )
 
 SYSTEMS = ("noisy", "wiener", "segan")
@@ -36,8 +34,8 @@ SSNR_FRAME = 512
 SSNR_CLAMP_DB = (-10.0, 35.0)
 
 LPC_ORDER = 16
-LLR_FRAME_S = 0.030
-LLR_HOP_S = 0.0075
+LLR_FRAME = 480          # 30 ms at 16 kHz
+LLR_HOP = 120            # 7.5 ms
 LLR_CLAMP = (0.0, 2.0)   # per-frame range, as in Hu & Loizou (2008)
 # White-noise correction: each frame's zero lag is raised by this fraction
 # before the LPC fits, as if white noise 40 dB below the frame were added.
@@ -45,22 +43,16 @@ LLR_CLAMP = (0.0, 2.0)   # per-frame range, as in Hu & Loizou (2008)
 # at least LLR_WNC * r_0, so the Levinson error of a noise-free harmonic
 # frame stays far above rounding instead of reaching it.
 LLR_WNC = 1e-4
-# the smallest integer rate at which round(LLR_FRAME_S * rate) >= LPC_ORDER + 1
-# and round(LLR_HOP_S * rate) >= 1, under Python's round-half-even
-LLR_MIN_RATE = 551
 
 
-def _matched(clean: Waveform, test: Waveform) -> tuple[np.ndarray, np.ndarray]:
-    """The two signals' samples, once their lengths and rates agree."""
-    x, y = clean.samples, test.samples
+def _matched(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two signals, once their lengths agree."""
     if x.size != y.size:
         raise LengthMismatchError(f"length mismatch: {x.size} vs {y.size}")
-    if clean.sample_rate != test.sample_rate:
-        raise LengthMismatchError(f"rate mismatch: {clean.sample_rate} vs {test.sample_rate}")
     return x, y
 
 
-def ssnr(clean: Waveform, test: Waveform) -> float:
+def ssnr(clean: np.ndarray, test: np.ndarray) -> float:
     """Mean over non-overlapping SSNR_FRAME-sample frames of
     10*log10(clean energy / error energy), clamped to SSNR_CLAMP_DB. Frames
     whose clean energy is below 1e-8 are skipped; the error denominator is
@@ -122,7 +114,7 @@ def _lag_products(f: np.ndarray, order: int) -> np.ndarray:
                      for k in range(order + 1)], axis=-1)
 
 
-def llr(clean: Waveform, test: Waveform) -> float:
+def llr(clean: np.ndarray, test: np.ndarray) -> float:
     """Log-likelihood-ratio spectral distance: per Hanning-windowed frame,
     log of the ratio of the test LPC polynomial's residual energy to the
     clean one's, both measured against the clean autocorrelation, clamped
@@ -131,14 +123,7 @@ def llr(clean: Waveform, test: Waveform) -> float:
     Near-silent frames are skipped.
     """
     x, y = _matched(clean, test)
-    order = LPC_ORDER
-    rate = clean.sample_rate
-    flen = round(LLR_FRAME_S * rate)
-    fhop = round(LLR_HOP_S * rate)
-    if flen < order + 1 or fhop < 1:
-        raise WrongRateError(
-            f"LLR at {rate} Hz has {flen}-sample frames and a {fhop}-sample hop; "
-            f"an order-{order} fit needs at least {LLR_MIN_RATE} Hz")
+    order, flen, fhop = LPC_ORDER, LLR_FRAME, LLR_HOP
     if x.size < flen:
         raise LengthMismatchError(f"signals shorter than one frame ({x.size} < {flen})")
     win = np.hanning(flen)

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import engine as eg
 from .audio_io import (
-    SAMPLE_RATE,
     WavReader,
     chunk,
     deemphasis,
@@ -283,7 +282,7 @@ def enhance_file(checkpoint_path, in_path, out_path,
     x_last = y_last = 0.0   # last input and output samples so far: the emphasis filters' state
     with WavReader(in_path) as src:
         blocks = src.blocks(ENHANCE_BATCH * mcfg.window)
-        with wav_writer(out_path, SAMPLE_RATE) as write, no_grad():
+        with wav_writer(out_path) as write, no_grad():
             for x in blocks:
                 pre = preemphasis(np.concatenate([[x_last], x]))[1:]
                 windows, pad = chunk(pre, mcfg.window, mcfg.window)

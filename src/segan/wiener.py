@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .audio_io import SAMPLE_RATE, Waveform
-from .errors import ConfigError, ShapeMismatchError, TooShortError, WrongRateError
+from .errors import ConfigError, ShapeMismatchError, TooShortError
 
 # Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
 # frames, as fast as larger blocks), so the scratch memory stays bounded
@@ -108,14 +107,12 @@ def wiener_gains(power: np.ndarray, alpha: float = ALPHA, noise_frames: int = NO
     return gains
 
 
-def enhance_wiener(noisy: Waveform, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
+def enhance_wiener(noisy: np.ndarray, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
                    gain_floor_db: float = GAIN_FLOOR_DB, frame: int = FRAME,
-                   hop: int = HOP) -> Waveform:
+                   hop: int = HOP) -> np.ndarray:
     """Apply wiener_gains in the STFT domain and resynthesize; output length
     equals the input length exactly.
     """
-    if noisy.sample_rate != SAMPLE_RATE:
-        raise WrongRateError(f"expected 16 kHz input, got {noisy.sample_rate}")
-    spec = stft(noisy.samples, frame, hop)
+    spec = stft(noisy, frame, hop)
     gains = wiener_gains(np.abs(spec) ** 2, alpha, noise_frames, gain_floor_db)
-    return Waveform(istft(gains * spec, frame, hop)[:len(noisy)], SAMPLE_RATE)
+    return istft(gains * spec, frame, hop)[:noisy.size]

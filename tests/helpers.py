@@ -169,20 +169,20 @@ def archive_bytes(entries, count=None):
 
 def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_seed=0):
     """Whole-file enhancement, the oracle for the package's streamed
-    `enhance_file`: the input read whole (48 kHz through
+    `enhance_file`: the input read whole through the stdlib (48 kHz through
     `resample_48k_to_16k`), preemphasized and windowed whole, z drawn for
     every window at once, the generator run ENHANCE_BATCH windows at a time,
     and the output reassembled and deemphasized whole."""
-    from segan.audio_io import (SAMPLE_RATE, Waveform, chunk, deemphasis, preemphasis, read_wav,
-                                reassemble, write_wav)
+    from segan.audio_io import chunk, deemphasis, preemphasis, reassemble, write_wav
     from segan.engine import Tensor, no_grad, sample_z
     from segan.model import g_forward, load_checkpoint
     from segan.trainer import ENHANCE_BATCH
     gen, _, mcfg = load_checkpoint(checkpoint_path)
-    w = read_wav(in_path)
-    if w.sample_rate == 48000:
-        w = resample_48k_to_16k(w)
-    windows, pad = chunk(preemphasis(w.samples), mcfg.window, mcfg.window)
+    pcm, rate = read_raw_pcm(in_path)
+    x = pcm / 32768.0
+    if rate == 48000:
+        x = resample_48k_to_16k(x)
+    windows, pad = chunk(preemphasis(x), mcfg.window, mcfg.window)
     n = windows.shape[0]
     if z_mode == "zero":
         z = np.zeros((n, mcfg.bottleneck_len, mcfg.z_channels), dtype=np.float32)
@@ -194,24 +194,21 @@ def enhance_whole_file(checkpoint_path, in_path, out_path, z_mode="seeded", z_se
             hi = lo + ENHANCE_BATCH
             g = g_forward(gen, windows[lo:hi].astype(np.float32)[..., None], Tensor(z[lo:hi]))
             out[lo:hi] = g.data[:, :, 0]
-    write_wav(Waveform(deemphasis(reassemble(out, pad)), SAMPLE_RATE), out_path)
+    write_wav(deemphasis(reassemble(out, pad)), out_path)
 
 
-def resample_48k_to_16k(w):
+def resample_48k_to_16k(x):
     """Whole-signal 48 kHz -> 16 kHz decimation, the oracle for the package's
     block-wise `decimate_blocks`: one np.convolve with the package's 127-tap
     filter over the whole signal, then every third sample at the filter's
     group delay."""
-    from segan.audio_io import RATE_48K, SAMPLE_RATE, Waveform, _design_lowpass
-    from segan.errors import WrongRateError
-    if w.sample_rate != RATE_48K:
-        raise WrongRateError(f"resampler expects {RATE_48K} Hz input, got {w.sample_rate}")
-    if len(w) == 0:
-        return Waveform(w.samples, SAMPLE_RATE)
+    from segan.audio_io import RATE_48K, SAMPLE_RATE, _design_lowpass
+    if len(x) == 0:
+        return np.zeros(0)
     taps = _design_lowpass(127, 0.45 * SAMPLE_RATE, RATE_48K)
     delay = (len(taps) - 1) // 2
-    full = np.convolve(w.samples, taps, mode="full")
-    return Waveform(full[delay:delay + len(w):3], SAMPLE_RATE)
+    full = np.convolve(x, taps, mode="full")
+    return full[delay:delay + len(x):3]
 
 
 def params_digest(params):

@@ -19,8 +19,8 @@ import pytest
 from helpers import SCATTER_FORMS, params_digest, scatter_form, tone
 
 from segan import engine as eg
-from segan.audio_io import (Waveform, chunk, decimate_blocks, deemphasis, preemphasis,
-                            read_wav, reassemble, write_wav)
+from segan.audio_io import (chunk, decimate_blocks, deemphasis, preemphasis, read_wav,
+                            reassemble, write_wav)
 from segan.dataset import build_pairs, mix_at_snr, synth_clean, synth_noise
 from segan.engine import Parameter, Tensor, sample_z
 from segan.gradcheck import check_all_ops, grad_check
@@ -177,8 +177,8 @@ def test_criterion_04_signal_pipeline():
 
         grid = rng.integers(-32767, 32768, 4096) / 32768.0
         tmp = Path(tempfile.mkdtemp(prefix="accept_c4_"))
-        write_wav(Waveform(grid, 16000), tmp / "q.wav")
-        assert np.array_equal(read_wav(tmp / "q.wav").samples, grid)
+        write_wav(grid, tmp / "q.wav")
+        assert np.array_equal(read_wav(tmp / "q.wav"), grid)
 
         dc = np.concatenate(list(decimate_blocks([np.ones(48000)])))
         assert np.max(np.abs(dc[64:-64] - 1.0)) <= 1e-3
@@ -310,13 +310,13 @@ def test_criterion_09_enhancement_improves_held_out_ssnr():
 def test_criterion_10_wiener_baseline():
     def body():
         clean = synth_clean(seed=7, duration_s=1.0)
-        padded = Waveform(np.concatenate([np.zeros(2048), clean.samples]), 16000)
+        padded = np.concatenate([np.zeros(2048), clean])
         noise = synth_noise("white", seed=8, duration_s=len(padded) / 16000)
         noisy = mix_at_snr(padded, noise, 5.0)
         out = enhance_wiener(noisy)
         assert len(out) == len(noisy) == 18048
         assert ssnr(padded, out) - ssnr(padded, noisy) >= 2.0
-        gains = wiener_gains(np.abs(stft(noisy.samples)) ** 2)
+        gains = wiener_gains(np.abs(stft(noisy)) ** 2)
         assert np.all(gains <= 1.0)
 
     _criterion(10, "wiener gains >= +2 dB SSNR, per-bin gain <= 1", body)
@@ -325,9 +325,9 @@ def test_criterion_10_wiener_baseline():
 def test_criterion_11_metric_fixtures():
     def body():
         rng = np.random.default_rng(111)
-        x = Waveform(rng.uniform(-0.5, 0.5, 4096), 16000)
+        x = rng.uniform(-0.5, 0.5, 4096)
         assert ssnr(x, x) == 35.0
-        assert abs(ssnr(x, Waveform(np.zeros(4096), 16000))) <= 1e-9
+        assert abs(ssnr(x, np.zeros(4096))) <= 1e-9
         assert llr(x, x) < 1e-10
 
         a, err = levinson(np.array([1.0, 0.5]), 1)

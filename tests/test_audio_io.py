@@ -1,11 +1,12 @@
 """WAV I/O, resampling, emphasis filters, and windowing."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
-from segan.audio_io import (_DEEMPH_BLOCK, PREEMPH, Waveform, WavReader, chunk,
+from segan.audio_io import (_DEEMPH_BLOCK, PREEMPH, WavReader, chunk,
                             decimate_blocks, deemphasis, preemphasis, read_wav,
                             reassemble, wav_writer, write_wav)
 from segan.errors import InvalidWindowError, UnsupportedFormatError, WrongRateError
@@ -14,45 +15,40 @@ from helpers import emphasis_oracle, read_raw_pcm, resample_48k_to_16k, tone, wr
 
 
 # ---------------------------------------------------------------------------
-# Waveform container
-
-def test_waveform_validation():
-    with pytest.raises(ValueError):
-        Waveform(np.zeros((2, 3)), 16000)
-    with pytest.raises(ValueError):
-        Waveform(np.array([0.0, np.nan]), 16000)
-    with pytest.raises(ValueError):
-        Waveform(np.array([0.0, np.inf]), 16000)
-    with pytest.raises(ValueError):
-        Waveform(np.zeros(4), 0)
-
-
-def test_waveform_len_and_duration():
-    w = Waveform(np.zeros(16000), 16000)
-    assert len(w) == 16000
-    assert w.duration_s == 1.0
-
-
-# ---------------------------------------------------------------------------
 # WAV read/write
 
 def test_read_scales_pcm_by_32768(tmp_path):
     path = tmp_path / "t.wav"
     write_raw_wav(path, [0, 16384, -32768, 32767])
-    w = read_wav(path)
-    assert w.sample_rate == 16000
-    assert np.array_equal(w.samples, [0.0, 0.5, -1.0, 32767 / 32768])
+    x = read_wav(path)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, [0.0, 0.5, -1.0, 32767 / 32768])
 
 
-def test_read_preserves_sample_rate(tmp_path):
+@pytest.mark.parametrize("n", [1, 2, 3, 126, 127, 128, 5000])
+def test_read_of_48k_is_the_whole_signal_decimated(tmp_path, n):
     path = tmp_path / "t48.wav"
-    write_raw_wav(path, [0, 0, 0], rate=48000)
-    assert read_wav(path).sample_rate == 48000
+    pcm = np.random.default_rng(n).integers(-32767, 32768, n)
+    write_raw_wav(path, pcm, rate=48000)
+    x = pcm / 32768.0
+    got = read_wav(path)
+    assert got.size == -(-n // 3)
+    assert got.tobytes() == np.concatenate([*decimate_blocks([x])]).tobytes()
+    assert got.tobytes() == resample_48k_to_16k(x).tobytes()
+
+
+@pytest.mark.parametrize("rate", [8000, 22050])
+def test_read_rejects_other_rates_naming_the_file(tmp_path, rate):
+    path = tmp_path / f"in{rate}.wav"
+    write_raw_wav(path, np.zeros(10), rate=rate)
+    want = rf"{re.escape(str(path))}: expected 16 or 48 kHz, got {rate}"
+    with pytest.raises(WrongRateError, match=want):
+        read_wav(path)
 
 
 def test_write_quantizer_fixture(tmp_path):
     path = tmp_path / "q.wav"
-    write_wav(Waveform(np.array([1.0, 0.0, -1.0, 0.5, 2.0, -3.0]), 16000), path)
+    write_wav(np.array([1.0, 0.0, -1.0, 0.5, 2.0, -3.0]), path)
     pcm, rate = read_raw_pcm(path)
     assert rate == 16000
     assert np.array_equal(pcm, [32767, 0, -32767, 16384, 32767, -32767])
@@ -61,25 +57,33 @@ def test_write_quantizer_fixture(tmp_path):
 def test_every_quantized_level_round_trips(tmp_path):
     path = tmp_path / "levels.wav"
     levels = np.arange(-32767, 32768, dtype=np.float64) / 32768.0
-    write_wav(Waveform(levels, 16000), path)
+    write_wav(levels, path)
     back = read_wav(path)
-    assert np.array_equal(back.samples, levels)
+    assert np.array_equal(back, levels)
 
 
 def test_write_read_write_is_stable(tmp_path):
     rng = np.random.default_rng(5)
-    w = Waveform(rng.uniform(-1, 1, 2000), 16000)
+    w = rng.uniform(-1, 1, 2000)
     a, b = tmp_path / "a.wav", tmp_path / "b.wav"
     write_wav(w, a)
     first = read_wav(a)
     write_wav(first, b)
-    assert np.array_equal(read_wav(b).samples, first.samples)
+    assert np.array_equal(read_wav(b), first)
 
 
 def test_empty_wav_round_trip(tmp_path):
     path = tmp_path / "e.wav"
-    write_wav(Waveform(np.zeros(0), 16000), path)
+    write_wav(np.zeros(0), path)
     assert len(read_wav(path)) == 0
+
+
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_empty_wav_reads_as_an_empty_array(tmp_path, rate):
+    path = tmp_path / "e.wav"
+    write_raw_wav(path, [], rate=rate)
+    x = read_wav(path)
+    assert isinstance(x, np.ndarray) and x.shape == (0,) and x.dtype == np.float64
 
 
 def test_rejects_stereo(tmp_path):
@@ -115,23 +119,20 @@ def _interior(x, margin=64):
     return x[margin:-margin]
 
 
-def _resample(w):
-    """The 16 kHz samples decimate_blocks makes of a 48 kHz Waveform given whole."""
-    assert w.sample_rate == 48000
-    return np.concatenate([np.zeros(0), *decimate_blocks([w.samples])])
+def _resample(x):
+    """The 16 kHz samples decimate_blocks makes of a 48 kHz signal given whole."""
+    return np.concatenate([np.zeros(0), *decimate_blocks([x])])
 
 
 def test_resample_dc_gain():
-    w = Waveform(np.ones(4800), 48000)
-    out = _resample(w)
+    out = _resample(np.ones(4800))
     assert len(out) == 1600
     assert np.all(np.abs(_interior(out) - 1.0) < 1e-3)
 
 
 def test_resample_1khz_amplitude():
     n = 48000
-    w = Waveform(tone(1000.0, n, rate=48000), 48000)
-    out = _resample(w)
+    out = _resample(tone(1000.0, n, rate=48000))
     expected = tone(1000.0, len(out), rate=16000)
     ratio = (np.sqrt(np.mean(_interior(out) ** 2))
              / np.sqrt(np.mean(_interior(expected) ** 2)))
@@ -143,15 +144,14 @@ def test_resample_1khz_amplitude():
 
 
 def test_resample_rejects_20khz():
-    w = Waveform(tone(20000.0, 48000, rate=48000), 48000)
-    out = _resample(w)
+    out = _resample(tone(20000.0, 48000, rate=48000))
     # 20 kHz sits far above the new Nyquist; at least 40 dB must go
     assert np.sqrt(np.mean(_interior(out) ** 2)) < 0.01 * (0.5 / np.sqrt(2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102])
 def test_resample_length_is_ceil_n_over_3(n):
-    out = _resample(Waveform(np.zeros(n), 48000))
+    out = _resample(np.zeros(n))
     assert len(out) == -(-n // 3)
 
 
@@ -172,7 +172,7 @@ def test_decimate_blocks_match_the_whole_signal(block):
         x = rng.uniform(-1, 1, n)
         got = np.concatenate(
             [np.zeros(0), *decimate_blocks(x[i:i + block] for i in range(0, n, block))])
-        want = resample_48k_to_16k(Waveform(x, 48000)).samples
+        want = resample_48k_to_16k(x)
         assert got.tobytes() == want.tobytes(), (n, block)
 
 
@@ -181,8 +181,7 @@ def test_reader_blocks_are_the_whole_signal_in_order(tmp_path, rate):
     pcm = np.random.default_rng(rate).integers(-32767, 32768, 5000)
     path = tmp_path / "in.wav"
     write_raw_wav(path, pcm, rate=rate)
-    w = read_wav(path)
-    whole = w.samples if rate == 16000 else resample_48k_to_16k(w).samples
+    whole = pcm / 32768.0 if rate == 16000 else resample_48k_to_16k(pcm / 32768.0)
     with WavReader(path) as r:
         blocks = list(r.blocks(300))
     assert all(b.size == 300 for b in blocks[:-1]) and 0 < blocks[-1].size <= 300
@@ -194,7 +193,7 @@ def test_header_claiming_more_frames_is_read_as_far_as_the_file_goes(tmp_path):
     pcm = np.arange(-500, 500) * 30
     write_raw_wav(path, pcm)
     path.write_bytes(path.read_bytes()[:-20])           # the last 10 frames
-    assert np.array_equal(read_wav(path).samples, pcm[:-10] / 32768.0)
+    assert np.array_equal(read_wav(path), pcm[:-10] / 32768.0)
     with WavReader(path) as r:
         assert np.array_equal(np.concatenate(list(r.blocks(64))), pcm[:-10] / 32768.0)
 
@@ -204,7 +203,7 @@ def test_file_cut_inside_a_sample_reads_to_the_sample_before(tmp_path):
     pcm = np.arange(-50, 50) * 300
     write_raw_wav(path, pcm)
     path.write_bytes(path.read_bytes()[:-1])            # half of the last sample
-    assert np.array_equal(read_wav(path).samples, pcm[:-1] / 32768.0)
+    assert np.array_equal(read_wav(path), pcm[:-1] / 32768.0)
     for block in (7, 99, 100, 1000):
         with WavReader(path) as r:
             assert np.array_equal(np.concatenate(list(r.blocks(block))), pcm[:-1] / 32768.0)
@@ -212,8 +211,8 @@ def test_file_cut_inside_a_sample_reads_to_the_sample_before(tmp_path):
 
 def test_writer_appends_blocks_as_one_write(tmp_path):
     x = np.random.default_rng(2).uniform(-1.2, 1.2, 1001)
-    write_wav(Waveform(x, 16000), tmp_path / "whole.wav")
-    with wav_writer(tmp_path / "blocks.wav", 16000) as write:
+    write_wav(x, tmp_path / "whole.wav")
+    with wav_writer(tmp_path / "blocks.wav") as write:
         for lo in range(0, x.size, 100):
             write(x[lo:lo + 100])
     assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
@@ -221,10 +220,10 @@ def test_writer_appends_blocks_as_one_write(tmp_path):
 
 def test_writer_replaces_only_on_success(tmp_path):
     path = tmp_path / "out.wav"
-    write_wav(Waveform(np.zeros(10), 16000), path)
+    write_wav(np.zeros(10), path)
     blob = path.read_bytes()
     with pytest.raises(RuntimeError):
-        with wav_writer(path, 16000) as write:
+        with wav_writer(path) as write:
             write(np.ones(5) * 0.5)
             raise RuntimeError("stop")
     assert path.read_bytes() == blob
@@ -234,7 +233,7 @@ def test_writer_replaces_only_on_success(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_writer_rejects_non_finite_samples(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
-        with wav_writer(tmp_path / "out.wav", 16000) as write:
+        with wav_writer(tmp_path / "out.wav") as write:
             write(np.array([0.0, bad]))
     assert os.listdir(tmp_path) == []
 
@@ -242,17 +241,17 @@ def test_writer_rejects_non_finite_samples(tmp_path, bad):
 def test_write_into_a_missing_directory_names_the_target(tmp_path):
     target = tmp_path / "missing" / "out.wav"
     with pytest.raises(FileNotFoundError) as err:
-        write_wav(Waveform(np.zeros(4), 16000), target)
+        write_wav(np.zeros(4), target)
     assert err.value.filename == str(target)
 
 
 def test_written_file_has_the_mode_of_a_plain_open(tmp_path):
     umask = os.umask(0o027)
     try:
-        write_wav(Waveform(np.zeros(4), 16000), tmp_path / "a.wav")
+        write_wav(np.zeros(4), tmp_path / "a.wav")
         assert (tmp_path / "a.wav").stat().st_mode & 0o777 == 0o640
         os.chmod(tmp_path / "a.wav", 0o604)
-        write_wav(Waveform(np.zeros(4), 16000), tmp_path / "a.wav")
+        write_wav(np.zeros(4), tmp_path / "a.wav")
         assert (tmp_path / "a.wav").stat().st_mode & 0o777 == 0o604
     finally:
         os.umask(umask)

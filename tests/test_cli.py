@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from segan import engine as eg
-from segan.audio_io import Waveform, read_wav, write_wav
+from segan.audio_io import read_wav, write_wav
 from segan.cli import FULL_SCALE_LEDGER, SUBCOMMANDS, main, parse_config_file
 from segan.dataset import load_manifest, synth_clean
 from segan.gradcheck import check_all_ops
 from segan.model import GeneratorConfig, build_generator, save_checkpoint
 from segan.trainer import TrainConfig, enhance_file
 from segan.wiener import enhance_wiener
+
+from helpers import read_raw_pcm, resample_48k_to_16k, write_raw_wav
 
 
 def _out_lines(capsys):
@@ -132,12 +134,12 @@ def test_flag_defaults_match_library_defaults():
             if f.default != library[f.name]:
                 drift.append(f"{sub}.{f.name}: flag {f.default!r}, library {library[f.name]!r}")
     assert drift == []
-    assert checked == 30
+    assert checked == 29
 
 
 # every subcommand's flags in table order; "*" marks a required flag
 _SURFACE = {
-    "synth-data": "out* n_utterances duration_s seed rate kinds snrs test_fraction",
+    "synth-data": "out* n_utterances duration_s seed kinds snrs test_fraction",
     "train": "data* out* window filter_width stride enc_channels z_channels hop epochs lr "
              "batch_size lambda_l1 seed checkpoint_every adversarial accum_steps",
     "enhance": "checkpoint* in* out* z_mode z_seed",
@@ -224,7 +226,7 @@ def test_parse_config_file_comments(tmp_path):
 
 def _tone_wav(path, n=2048, seed=0):
     rng = np.random.default_rng(seed)
-    write_wav(Waveform(rng.uniform(-0.5, 0.5, n), 16000), path)
+    write_wav(rng.uniform(-0.5, 0.5, n), path)
 
 
 def test_eval_single_pair_prints_bare_value(tmp_path, capsys):
@@ -405,9 +407,88 @@ def test_enhance_wiener_cli(tmp_path, capsys):
 
 def test_enhance_wiener_too_short_is_runtime_error(tmp_path, capsys):
     src = tmp_path / "tiny.wav"
-    write_wav(Waveform(np.zeros(1024), 16000), src)
+    write_wav(np.zeros(1024), src)
     assert main(["enhance-wiener", "--in", str(src),
                  "--out", str(tmp_path / "o.wav")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# sample rates: every WAV is read at 16 kHz, a 48 kHz one decimated on the way in
+
+_TINY = GeneratorConfig(window=64, filter_width=5, enc_channels=(2, 3), z_channels=4)
+
+
+def _pcm48(path, n, seed=0):
+    pcm = np.random.default_rng(seed).integers(-16000, 16000, n)
+    write_raw_wav(path, pcm, rate=48000)
+    return pcm
+
+
+def test_synth_data_has_no_rate_flag(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth-data", "--out", str(out), "--rate", "16000"]) == 1
+    assert "--rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_on_48k_files_uses_their_16k_samples(tmp_path, capsys):
+    # 3000 samples at 48 kHz are 1000 at 16 kHz, 4 windows of 256; taken
+    # as 16 kHz samples they would make 12
+    for i in range(2):
+        _pcm48(tmp_path / f"c{i}.wav", 3000, seed=i)
+    (tmp_path / "m.tsv").write_text("c0.wav\tSYNTH:white\t5\ttrain\n"
+                                    "c1.wav\tSYNTH:pink\t0\ttrain\n")
+    assert main(["train", "--data", str(tmp_path / "m.tsv"), "--out", str(tmp_path / "run"),
+                 "--window", "256", "--enc-channels", "8,16", "--z-channels", "16",
+                 "--hop", "256", "--epochs", "1", "--batch-size", "4",
+                 "--adversarial", "false"]) == 0
+    assert "corpus: 2 utterances, 8 windows (window 256, hop 256)" in capsys.readouterr().out
+
+
+def test_enhance_wiener_decimates_48k(tmp_path, capsys):
+    src, dst, want = tmp_path / "in48.wav", tmp_path / "out.wav", tmp_path / "want.wav"
+    pcm = _pcm48(src, 48001)
+    assert main(["enhance-wiener", "--in", str(src), "--out", str(dst)]) == 0
+    out, rate = read_raw_pcm(dst)
+    assert rate == 16000 and out.size == 16001
+    write_wav(enhance_wiener(resample_48k_to_16k(pcm / 32768.0)), want)
+    assert dst.read_bytes() == want.read_bytes()
+
+
+def test_eval_scores_a_48k_clean_file_against_its_enhanced_output(tmp_path, capsys):
+    clean, enhanced, ckpt = tmp_path / "clean48.wav", tmp_path / "enh.wav", tmp_path / "g.sgn"
+    _pcm48(clean, 48000)
+    save_checkpoint(ckpt, build_generator(_TINY, seed=0))
+    assert main(["enhance", "--checkpoint", str(ckpt), "--in", str(clean),
+                 "--out", str(enhanced)]) == 0
+    assert main(["eval", "--clean", str(clean), "--test", str(enhanced),
+                 "--metric", "all"]) == 0
+    rows = [line.split("\t") for line in _out_lines(capsys) if line.startswith(str(enhanced))]
+    assert [m for _, m, _ in rows] == ["ssnr", "llr"]
+    assert all(np.isfinite(float(v)) for _, _, v in rows)
+
+
+def _reader_args(sub, tmp, wav):
+    """Arguments that make `sub` read `wav` and write only under tmp / "out"."""
+    if sub == "train":
+        (tmp / "m.tsv").write_text(f"{wav.name}\tSYNTH:white\t5\ttrain\n")
+        return ["--data", str(tmp / "m.tsv"), "--out", str(tmp / "out")]
+    if sub == "enhance":
+        save_checkpoint(tmp / "g.sgn", build_generator(_TINY, seed=0))
+        return ["--checkpoint", str(tmp / "g.sgn"), "--in", str(wav), "--out", str(tmp / "out")]
+    if sub == "enhance-wiener":
+        return ["--in", str(wav), "--out", str(tmp / "out")]
+    return ["--clean", str(wav), "--test", str(wav), "--report", str(tmp / "out")]
+
+
+@pytest.mark.parametrize("rate", [8000, 22050])
+@pytest.mark.parametrize("sub", ["train", "enhance", "enhance-wiener", "eval"])
+def test_every_wav_reader_rejects_other_rates(tmp_path, capsys, sub, rate):
+    wav = tmp_path / "in.wav"
+    write_raw_wav(wav, np.random.default_rng(0).integers(-16000, 16000, rate), rate=rate)
+    assert main([sub, *_reader_args(sub, tmp_path, wav)]) == 2
+    assert f"error: {wav}: expected 16 or 48 kHz, got {rate}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +526,6 @@ _INPUTS = {
     ("synth-data", "kinds", "bogus"),
     ("synth-data", "test_fraction", "1.5"),
     ("synth-data", "test_fraction", "-0.5"),
-    ("synth-data", "rate", "0"),
     ("synth-data", "duration_s", "0"),
     ("synth-data", "duration_s", "-1"),
     ("synth-data", "duration_s", "nan"),

@@ -5,52 +5,52 @@ import warnings
 import numpy as np
 import pytest
 
-from segan.audio_io import Waveform, chunk, preemphasis, read_wav, write_wav
+from segan.audio_io import chunk, preemphasis, read_wav, write_wav
 from segan.dataset import (ManifestEntry, NoiseKind,
                            SYNTH_PREFIX, Corpus, _rng_for, build_pairs,
                            iter_utterances, load_manifest, mix_at_snr,
                            synth_clean, synth_noise, write_manifest)
 from segan.errors import ManifestError, ZeroPowerError
 
+from helpers import resample_48k_to_16k, write_raw_wav
+
 
 # ---------------------------------------------------------------------------
 # SNR mixing
 
 def test_mix_gain_one_at_0db():
-    clean = Waveform(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
-    noise = Waveform(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 16000)
+    clean = np.array([1.0, -1.0, 1.0, -1.0])
+    noise = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     out = mix_at_snr(clean, noise, 0.0)
-    assert np.allclose(out.samples, clean.samples + noise.samples[:4], atol=1e-15)
+    assert np.allclose(out, clean + noise[:4], atol=1e-15)
 
 
 def test_mix_gain_at_10db():
-    clean = Waveform(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
-    noise = Waveform(np.ones(4), 16000)
+    clean = np.array([1.0, -1.0, 1.0, -1.0])
+    noise = np.ones(4)
     out = mix_at_snr(clean, noise, 10.0)
     g = 10.0 ** -0.5
-    assert np.allclose(out.samples, clean.samples + g, atol=1e-15)
+    assert np.allclose(out, clean + g, atol=1e-15)
 
 
 def test_mix_measured_snr_is_exact():
     rng = np.random.default_rng(2)
-    clean = Waveform(rng.uniform(-0.5, 0.5, 8000), 16000)
-    noise = Waveform(rng.uniform(-0.5, 0.5, 8000), 16000)
+    clean = rng.uniform(-0.5, 0.5, 8000)
+    noise = rng.uniform(-0.5, 0.5, 8000)
     out = mix_at_snr(clean, noise, 5.0)
-    resid = out.samples - clean.samples
-    snr = 10.0 * np.log10(np.mean(clean.samples ** 2) / np.mean(resid ** 2))
+    resid = out - clean
+    snr = 10.0 * np.log10(np.mean(clean ** 2) / np.mean(resid ** 2))
     assert abs(snr - 5.0) < 1e-6
 
 
 def test_mix_validation():
-    c = Waveform(np.ones(4), 16000)
-    with pytest.raises(ValueError, match="rate mismatch"):
-        mix_at_snr(c, Waveform(np.ones(4), 48000), 0.0)
+    c = np.ones(4)
     with pytest.raises(ValueError, match="shorter"):
-        mix_at_snr(c, Waveform(np.ones(3), 16000), 0.0)
+        mix_at_snr(c, np.ones(3), 0.0)
     with pytest.raises(ZeroPowerError):
-        mix_at_snr(Waveform(np.zeros(4), 16000), Waveform(np.ones(4), 16000), 0.0)
+        mix_at_snr(np.zeros(4), np.ones(4), 0.0)
     with pytest.raises(ZeroPowerError):
-        mix_at_snr(c, Waveform(np.zeros(4), 16000), 0.0)
+        mix_at_snr(c, np.zeros(4), 0.0)
 
 
 def test_mix_rejects_an_empty_clean_signal_without_warnings():
@@ -58,7 +58,7 @@ def test_mix_rejects_an_empty_clean_signal_without_warnings():
         warnings.simplefilter("error")
         for noise_len in (0, 4):
             with pytest.raises(ZeroPowerError, match="empty"):
-                mix_at_snr(Waveform(np.zeros(0), 16000), Waveform(np.ones(noise_len), 16000), 0.0)
+                mix_at_snr(np.zeros(0), np.ones(noise_len), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +68,19 @@ def test_synth_clean_deterministic():
     a = synth_clean(seed=4)
     b = synth_clean(seed=4)
     c = synth_clean(seed=5)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_synth_clean_peak_bounded_over_100_seeds():
     for seed in range(100):
         w = synth_clean(seed=seed, duration_s=0.25)
-        peak = np.max(np.abs(w.samples))
+        peak = np.max(np.abs(w))
         assert 0.5 < peak <= 0.8 + 1e-12
 
 
-def test_synth_clean_duration_and_rate():
-    w = synth_clean(seed=0, duration_s=0.5, rate=8000)
-    assert len(w) == 4000
-    assert w.sample_rate == 8000
+def test_synth_clean_duration():
+    assert len(synth_clean(seed=0, duration_s=0.5)) == 8000
     with pytest.raises(ValueError):
         synth_clean(seed=0, duration_s=0.0)
 
@@ -91,7 +89,7 @@ def test_synth_clean_spectral_peak_sits_on_a_harmonic():
     for seed in range(10):
         w = synth_clean(seed=seed, duration_s=1.0)
         f0 = _rng_for("clean:voice", seed).uniform(80.0, 300.0)
-        spec = np.abs(np.fft.rfft(w.samples))
+        spec = np.abs(np.fft.rfft(w))
         peak_hz = float(np.argmax(spec))  # 1 s of audio: bin index == Hz
         ratio = peak_hz / f0
         assert abs(ratio - round(ratio)) * f0 < 1.5
@@ -110,19 +108,19 @@ def test_synth_noise_deterministic_and_kind_tagged():
     a = synth_noise("white", seed=3)
     b = synth_noise(NoiseKind.WHITE, seed=3)
     c = synth_noise("pink", seed=3)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_synth_noise_peak_bounded():
     for kind in NoiseKind:
         for seed in range(25):
             w = synth_noise(kind, seed=seed, duration_s=0.25)
-            assert np.max(np.abs(w.samples)) <= 0.8 + 1e-12
+            assert np.max(np.abs(w)) <= 0.8 + 1e-12
 
 
 def test_white_noise_autocorrelation_is_flat():
-    x = synth_noise("white", seed=0, duration_s=1.0).samples
+    x = synth_noise("white", seed=0, duration_s=1.0)
     x = x - x.mean()
     denom = float(np.dot(x, x))
     for lag in range(1, 21):
@@ -138,20 +136,20 @@ def _band_energy(x, lo_hz, hi_hz, rate=16000):
 
 def test_pink_noise_octave_energies_decrease():
     for seed in range(5):
-        x = synth_noise("pink", seed=seed, duration_s=1.0).samples
+        x = synth_noise("pink", seed=seed, duration_s=1.0)
         bands = [_band_energy(x, lo, 2 * lo) for lo in (250.0, 500.0, 1000.0, 2000.0)]
         assert bands[0] > bands[1] > bands[2] > bands[3]
 
 
 def test_tonal_hum_concentrates_on_50hz_multiples():
-    x = synth_noise("tonal_hum", seed=1, duration_s=1.0).samples
+    x = synth_noise("tonal_hum", seed=1, duration_s=1.0)
     spec = np.abs(np.fft.rfft(x)) ** 2
     line_bins = [50 * h for h in range(1, 6)]
     assert spec[line_bins].sum() / spec.sum() > 0.999
 
 
 def test_modulated_burst_is_gated():
-    x = synth_noise("modulated_burst", seed=2, duration_s=1.0).samples
+    x = synth_noise("modulated_burst", seed=2, duration_s=1.0)
     zero_frac = np.mean(x == 0.0)
     assert 0.3 <= zero_frac <= 0.7
     assert np.max(np.abs(x)) == pytest.approx(0.8)
@@ -169,7 +167,7 @@ def test_synth_noise_validation():
 
 def _write_clean(path, n=800, seed=0):
     rng = np.random.default_rng(seed)
-    write_wav(Waveform(rng.uniform(-0.5, 0.5, n), 16000), path)
+    write_wav(rng.uniform(-0.5, 0.5, n), path)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -267,7 +265,6 @@ def test_iter_utterances_filters_split_and_matches_lengths(tmp_path):
     assert len(train) == 2 and len(test) == 1
     for clean, noise, snr in train:
         assert len(noise) == len(clean)
-        assert noise.sample_rate == clean.sample_rate
     assert train[0][2] == 5.0 and train[1][2] == 0.0
 
 
@@ -276,10 +273,10 @@ def test_iter_utterances_seed_determinism(tmp_path):
     a = list(iter_utterances(entries, "train", seed=1))
     b = list(iter_utterances(entries, "train", seed=1))
     c = list(iter_utterances(entries, "train", seed=2))
-    assert np.array_equal(a[0][1].samples, b[0][1].samples)
-    assert not np.array_equal(a[0][1].samples, c[0][1].samples)
+    assert np.array_equal(a[0][1], b[0][1])
+    assert not np.array_equal(a[0][1], c[0][1])
     # distinct entries draw distinct noise even under one base seed
-    assert not np.array_equal(a[0][1].samples[:800], a[1][1].samples[:800])
+    assert not np.array_equal(a[0][1][:800], a[1][1][:800])
 
 
 def test_iter_utterances_reads_noise_files(tmp_path):
@@ -289,7 +286,19 @@ def test_iter_utterances_reads_noise_files(tmp_path):
                              3.0, "train")]
     ((clean, noise, snr),) = iter_utterances(entries, "train")
     assert len(noise) == 500
-    assert np.array_equal(noise.samples, read_wav(tmp_path / "n.wav").samples)
+    assert np.array_equal(noise, read_wav(tmp_path / "n.wav"))
+
+
+def test_a_48k_noise_file_mixes_with_a_16k_clean_one(tmp_path):
+    # every file enters at 16 kHz, so the two rates no longer clash
+    _write_clean(tmp_path / "c.wav", n=400, seed=0)
+    pcm = np.random.default_rng(9).integers(-16000, 16000, 1500)
+    write_raw_wav(tmp_path / "n48.wav", pcm, rate=48000)
+    entries = [ManifestEntry(str(tmp_path / "c.wav"), str(tmp_path / "n48.wav"), 3.0, "train")]
+    ((clean, noise, _),) = iter_utterances(entries, "train")
+    assert noise.tobytes() == resample_48k_to_16k(pcm / 32768.0).tobytes()
+    corpus = build_pairs(iter_utterances(entries, "train"), window=256, hop=128)
+    assert len(corpus) == chunk(clean, 256, 128)[0].shape[0] == 4
 
 
 def _windows(corpus):
@@ -305,8 +314,8 @@ def _chunk_rows(utterances, window, hop):
     for c, n, snr_db in utterances:
         if not len(c):
             continue        # chunk() cuts no row from it (and mix_at_snr rejects it)
-        noisy.append(chunk(preemphasis(mix_at_snr(c, n, snr_db).samples), window, hop)[0])
-        clean.append(chunk(preemphasis(c.samples), window, hop)[0])
+        noisy.append(chunk(preemphasis(mix_at_snr(c, n, snr_db)), window, hop)[0])
+        clean.append(chunk(preemphasis(c), window, hop)[0])
     return (np.concatenate(noisy).astype(np.float32),
             np.concatenate(clean).astype(np.float32))
 
@@ -322,13 +331,13 @@ def test_build_pairs_counts_and_shapes():
 
 def test_build_pairs_residual_is_preemphasized_scaled_noise():
     rng = np.random.default_rng(8)
-    clean = Waveform(rng.uniform(-0.5, 0.5, 700), 16000)
-    noise = Waveform(rng.uniform(-0.5, 0.5, 700), 16000)
+    clean = rng.uniform(-0.5, 0.5, 700)
+    noise = rng.uniform(-0.5, 0.5, 700)
     snr_db = 5.0
     corpus = build_pairs([(clean, noise, snr_db)], window=256, hop=128)
-    g = np.sqrt(np.mean(clean.samples ** 2)
-                / (np.mean(noise.samples ** 2) * 10.0 ** (snr_db / 10.0)))
-    expected_rows, _ = chunk(preemphasis(g * noise.samples), 256, 128)
+    g = np.sqrt(np.mean(clean ** 2)
+                / (np.mean(noise ** 2) * 10.0 ** (snr_db / 10.0)))
+    expected_rows, _ = chunk(preemphasis(g * noise), 256, 128)
     noisy, clean_rows = _windows(corpus)
     assert len(corpus) == expected_rows.shape[0]
     # each side is stored as float32, so each carries one float32 rounding
@@ -351,8 +360,8 @@ def _mixed_lengths():
     out = []
     for i, n in enumerate([5000, 300, 0, 1777]):
         rng = np.random.default_rng(40 + i)
-        out.append((Waveform(rng.uniform(-0.5, 0.5, n), 16000),
-                    Waveform(rng.uniform(-0.5, 0.5, n), 16000), 3.0 * i))
+        out.append((rng.uniform(-0.5, 0.5, n),
+                    rng.uniform(-0.5, 0.5, n), 3.0 * i))
     return out
 
 

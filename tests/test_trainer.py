@@ -8,8 +8,7 @@ import pytest
 
 from segan import engine as eg
 from segan import trainer
-from segan.audio_io import (PREEMPH, Waveform, chunk, preemphasis, read_wav,
-                            reassemble, write_wav)
+from segan.audio_io import PREEMPH, chunk, preemphasis, read_wav, reassemble, write_wav
 from segan.dataset import Corpus, build_pairs
 from segan.engine import Tensor, backward, sample_z
 from segan.checkpoint import load_tensors, save_tensors
@@ -22,8 +21,8 @@ from segan.optim import RMSprop
 from segan.trainer import (ENHANCE_BATCH, Z_MODES, TrainConfig, _z_seed_for,
                            enhance_file, train, train_step)
 
-from helpers import (emphasis_oracle, enhance_whole_file, params_digest, reduced_adversarial,
-                     write_raw_wav)
+from helpers import (emphasis_oracle, enhance_whole_file, params_digest, read_raw_pcm,
+                     reduced_adversarial, write_raw_wav)
 
 TINY = GeneratorConfig(window=64, filter_width=5, enc_channels=(2, 3), z_channels=4)
 
@@ -418,8 +417,7 @@ def test_corpus_and_train_set_up_peak_at_most_twice_the_corpus(tmp_path, monkeyp
     # the utterances exist before tracing starts; what is traced is
     # build_pairs and train() up to its first step, reference batch included
     rng = np.random.default_rng(9)
-    utts = [(Waveform(rng.uniform(-0.5, 0.5, 8000), 16000),
-             Waveform(rng.uniform(-0.5, 0.5, 8000), 16000), 5.0) for _ in range(32)]
+    utts = [(rng.uniform(-0.5, 0.5, 8000), rng.uniform(-0.5, 0.5, 8000), 5.0) for _ in range(32)]
 
     def stop(*a, **k):
         raise NonFiniteLossError("stopped before step 0")
@@ -543,33 +541,32 @@ def test_enhance_file_windows_and_reassembles_exactly(tmp_path):
     _zero_checkpoint(ckpt)
     rng = np.random.default_rng(6)
     src = tmp_path / "in.wav"
-    write_wav(Waveform(rng.uniform(-0.5, 0.5, 40000), 16000), src)
+    write_wav(rng.uniform(-0.5, 0.5, 40000), src)
     dst = tmp_path / "out.wav"
     enhance_file(ckpt, src, dst)
     out = read_wav(dst)
     assert len(out) == 40000
-    assert out.sample_rate == 16000
+    assert read_raw_pcm(dst)[1] == 16000
     # an all-zero generator emits silence regardless of input
-    assert np.array_equal(out.samples, np.zeros(40000))
+    assert np.array_equal(out, np.zeros(40000))
 
 
 def test_enhance_file_resamples_48k(tmp_path):
     ckpt = tmp_path / "zero.sgn"
     _zero_checkpoint(ckpt)
     src = tmp_path / "in48.wav"
-    write_wav(Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 120000), 48000), src)
+    _pcm_wav(src, 120000, 48000, seed=0)
     dst = tmp_path / "out.wav"
     enhance_file(ckpt, src, dst)
-    out = read_wav(dst)
-    assert len(out) == 40000
-    assert out.sample_rate == 16000
+    pcm, rate = read_raw_pcm(dst)
+    assert len(pcm) == 40000 and rate == 16000
 
 
 def test_enhance_file_rejects_other_rates(tmp_path):
     ckpt = tmp_path / "zero.sgn"
     _zero_checkpoint(ckpt)
     src = tmp_path / "in8.wav"
-    write_wav(Waveform(np.zeros(100), 8000), src)
+    write_raw_wav(src, np.zeros(100), rate=8000)
     with pytest.raises(WrongRateError):
         enhance_file(ckpt, src, tmp_path / "out.wav")
 
@@ -579,7 +576,7 @@ def test_enhance_file_z_modes(tmp_path):
     save_checkpoint(ckpt, build_generator(TINY, seed=8))
     rng = np.random.default_rng(9)
     src = tmp_path / "in.wav"
-    write_wav(Waveform(rng.uniform(-0.5, 0.5, 200), 16000), src)
+    write_wav(rng.uniform(-0.5, 0.5, 200), src)
 
     a, b, c, d = (tmp_path / f"{k}.wav" for k in "abcd")
     enhance_file(ckpt, src, a, z_mode="seeded", z_seed=1)
@@ -597,7 +594,7 @@ def test_enhance_file_z_modes(tmp_path):
 def test_enhance_file_rejects_a_negative_z_seed(tmp_path, z_mode):
     ckpt = tmp_path / "g.sgn"
     save_checkpoint(ckpt, build_generator(TINY, seed=8))
-    write_wav(Waveform(np.zeros(200), 16000), tmp_path / "in.wav")
+    write_wav(np.zeros(200), tmp_path / "in.wav")
     with pytest.raises(ConfigError, match="z_seed"):
         enhance_file(ckpt, tmp_path / "in.wav", tmp_path / "x.wav", z_mode=z_mode, z_seed=-1)
     assert not (tmp_path / "x.wav").exists()
@@ -607,7 +604,7 @@ def test_enhance_empty_input(tmp_path):
     ckpt = tmp_path / "g.sgn"
     save_checkpoint(ckpt, build_generator(TINY, seed=8))
     src = tmp_path / "in.wav"
-    write_wav(Waveform(np.zeros(0), 16000), src)
+    write_wav(np.zeros(0), src)
     dst = tmp_path / "out.wav"
     enhance_file(ckpt, src, dst)
     assert len(read_wav(dst)) == 0
@@ -617,11 +614,11 @@ def test_enhance_empty_48k_input(tmp_path):
     ckpt = tmp_path / "g.sgn"
     save_checkpoint(ckpt, build_generator(TINY, seed=8))
     src = tmp_path / "in48.wav"
-    write_wav(Waveform(np.zeros(0), 48000), src)
+    write_raw_wav(src, [], rate=48000)
     dst = tmp_path / "out.wav"
     enhance_file(ckpt, src, dst)
-    out = read_wav(dst)
-    assert len(out) == 0 and out.sample_rate == 16000
+    pcm, rate = read_raw_pcm(dst)
+    assert len(pcm) == 0 and rate == 16000
 
 
 @pytest.mark.parametrize("z_mode", Z_MODES)
@@ -633,19 +630,17 @@ def test_enhance_micro_batches_match_one_batch(tmp_path, z_mode):
     save_checkpoint(ckpt, gen)
     n = 2 * ENHANCE_BATCH + 3
     src = tmp_path / "in.wav"
-    write_wav(Waveform(np.random.default_rng(10).uniform(-0.5, 0.5, n * TINY.window - 5),
-                       16000), src)
+    write_wav(np.random.default_rng(10).uniform(-0.5, 0.5, n * TINY.window - 5), src)
     enhance_file(ckpt, src, tmp_path / "out.wav", z_mode=z_mode, z_seed=3)
 
-    windows, pad = chunk(preemphasis(read_wav(src).samples), TINY.window, TINY.window)
+    windows, pad = chunk(preemphasis(read_wav(src)), TINY.window, TINY.window)
     assert windows.shape[0] == n
     z = (Tensor(np.zeros((n, TINY.bottleneck_len, TINY.z_channels), np.float32))
          if z_mode == "zero" else sample_z(n, TINY.bottleneck_len, TINY.z_channels, seed=3))
     with eg.no_grad():
         y = g_forward(gen, windows.astype(np.float32)[..., None], z)
     flat = reassemble(y.data[:, :, 0].astype(np.float64), pad)
-    write_wav(Waveform(emphasis_oracle(flat, PREEMPH, inverse=True), 16000),
-              tmp_path / "ref.wav")
+    write_wav(emphasis_oracle(flat, PREEMPH, inverse=True), tmp_path / "ref.wav")
     assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
 
 
@@ -661,7 +656,7 @@ def test_enhance_output_ignores_the_discriminator(tmp_path):
     _gd_checkpoint(gd)
     save_checkpoint(g, load_checkpoint(gd)[0])
     src = tmp_path / "in.wav"
-    write_wav(Waveform(np.random.default_rng(4).uniform(-0.5, 0.5, 300), 16000), src)
+    write_wav(np.random.default_rng(4).uniform(-0.5, 0.5, 300), src)
     enhance_file(gd, src, tmp_path / "a.wav")
     enhance_file(g, src, tmp_path / "b.wav")
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
@@ -709,7 +704,7 @@ def test_enhance_rejects_what_load_checkpoint_rejects(tmp_path, corrupt):
     with pytest.raises(CorruptCheckpointError) as full:
         load_checkpoint(path)
     src = tmp_path / "in.wav"
-    write_wav(Waveform(np.zeros(100), 16000), src)
+    write_wav(np.zeros(100), src)
     with pytest.raises(CorruptCheckpointError) as enh:
         enhance_file(path, src, tmp_path / "out.wav")
     assert str(enh.value) == str(full.value)
