@@ -27,6 +27,7 @@ RATE_48K = 48000        # the one other input rate, decimated by 3 on the way in
 PREEMPH = 0.95          # first-order preemphasis coefficient
 _DEEMPH_BLOCK = 1 << 14  # deemphasis samples per list: 16k ran faster than 4k, 64k or one list
 _TAPS = 127             # length of the 48 kHz -> 16 kHz decimation filter
+_READ_BLOCK = 1 << 16   # 16 kHz samples per block when read_wav decimates a 48 kHz file
 _DELAY = (_TAPS - 1) // 2
 
 
@@ -84,8 +85,12 @@ class WavReader:
 
 def read_wav(path) -> np.ndarray:
     """A mono 16-bit PCM WAV's samples at 16 kHz, scaled by 1/32768 into
-    [-1, 1): the whole of `WavReader.blocks` as its one block."""
+    [-1, 1): the whole of `WavReader.blocks`. A 16 kHz file is read as one
+    block. A 48 kHz file is decimated in blocks of _READ_BLOCK samples,
+    which bounds the filter's scratch memory, and the blocks are joined."""
     with WavReader(path) as r:
+        if r.rate == RATE_48K:
+            return np.concatenate([np.zeros(0), *r.blocks(_READ_BLOCK)])
         return next(r.blocks(max(r.frames, 1)), np.zeros(0))
 
 

@@ -76,43 +76,33 @@ def istft(spec: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return np.where(den > 1e-12, num / np.where(den > 1e-12, den, 1.0), 0.0)
 
 
-def wiener_gains(power: np.ndarray, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
-                 gain_floor_db: float = GAIN_FLOOR_DB) -> np.ndarray:
+def wiener_gains(power: np.ndarray) -> np.ndarray:
     """Per-bin gain H = xi / (1 + xi) for a (frames, bins) power spectrogram,
     with the a-priori SNR xi tracked by the decision-directed recursion
-    xi_t = alpha * (H_{t-1}^2 * gamma_{t-1}) + (1 - alpha) * max(gamma_t - 1, 0)
-    against a noise spectrum averaged over the leading frames. Gains lie in
-    [10^(gain_floor_db/20), 1].
+    xi_t = ALPHA * (H_{t-1}^2 * gamma_{t-1}) + (1 - ALPHA) * max(gamma_t - 1, 0)
+    against a noise spectrum averaged over the NOISE_FRAMES leading frames.
+    Gains lie in [10^(GAIN_FLOOR_DB/20), 1].
     """
-    if noise_frames < 1:
-        raise ConfigError(f"noise_frames must be >= 1, got {noise_frames}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if not gain_floor_db <= 0.0:
-        raise ConfigError(f"gain_floor_db must be <= 0, got {gain_floor_db}")
     n_frames = power.shape[0]
-    if n_frames <= noise_frames:
+    if n_frames <= NOISE_FRAMES:
         raise TooShortError(
-            f"need more than {noise_frames} frames to estimate noise, got {n_frames}")
-    noise_psd = np.maximum(power[:noise_frames].mean(axis=0), 1e-20)
-    floor = 10.0 ** (gain_floor_db / 20.0)
+            f"need more than {NOISE_FRAMES} frames to estimate noise, got {n_frames}")
+    noise_psd = np.maximum(power[:NOISE_FRAMES].mean(axis=0), 1e-20)
+    floor = 10.0 ** (GAIN_FLOOR_DB / 20.0)
     prev = np.ones(power.shape[1])
     gains = np.empty_like(power)
     for t in range(n_frames):
         gamma = power[t] / noise_psd
-        xi = alpha * prev + (1.0 - alpha) * np.maximum(gamma - 1.0, 0.0)
+        xi = ALPHA * prev + (1.0 - ALPHA) * np.maximum(gamma - 1.0, 0.0)
         h = np.clip(xi / (1.0 + xi), floor, 1.0)
         gains[t] = h
         prev = h * h * gamma
     return gains
 
 
-def enhance_wiener(noisy: np.ndarray, alpha: float = ALPHA, noise_frames: int = NOISE_FRAMES,
-                   gain_floor_db: float = GAIN_FLOOR_DB, frame: int = FRAME,
-                   hop: int = HOP) -> np.ndarray:
+def enhance_wiener(noisy: np.ndarray) -> np.ndarray:
     """Apply wiener_gains in the STFT domain and resynthesize; output length
     equals the input length exactly.
     """
-    spec = stft(noisy, frame, hop)
-    gains = wiener_gains(np.abs(spec) ** 2, alpha, noise_frames, gain_floor_db)
-    return istft(gains * spec, frame, hop)[:noisy.size]
+    spec = stft(noisy)
+    return istft(wiener_gains(np.abs(spec) ** 2) * spec, FRAME, HOP)[:noisy.size]

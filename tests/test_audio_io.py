@@ -2,6 +2,7 @@
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def test_read_of_48k_is_the_whole_signal_decimated(tmp_path, n):
     assert got.size == -(-n // 3)
     assert got.tobytes() == np.concatenate([*decimate_blocks([x])]).tobytes()
     assert got.tobytes() == resample_48k_to_16k(x).tobytes()
+
+
+def test_read_of_a_long_48k_file_decimates_in_bounded_memory(tmp_path):
+    # 60 s at 48 kHz: 7.3 MiB of output. Decimated in blocks of _READ_BLOCK
+    # samples and joined, the read peaks near 21.5 MiB; as one block, 66 MiB.
+    path = tmp_path / "long48.wav"
+    pcm = np.random.default_rng(9).integers(-32767, 32768, 60 * 48000)
+    write_raw_wav(path, pcm, rate=48000)
+    tracemalloc.start()
+    try:
+        got = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20, peak / 2**20
+    assert got.tobytes() == resample_48k_to_16k(pcm / 32768.0).tobytes()
 
 
 @pytest.mark.parametrize("rate", [8000, 22050])

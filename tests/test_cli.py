@@ -98,15 +98,14 @@ _FLAG_SOURCES = {
     "synth-data": [synth_clean],
     "train": [GeneratorConfig, TrainConfig],
     "enhance": [enhance_file],
-    "enhance-wiener": [enhance_wiener],
+    "enhance-wiener": [],
     "eval": [],
     "gradcheck": [check_all_ops],
     "shapes": [GeneratorConfig],
     "mos": [],
 }
 # optional flags with no library counterpart
-_CLI_ONLY = {("synth-data", "n_utterances"), ("synth-data", "kinds"), ("synth-data", "snrs"),
-             ("synth-data", "test_fraction"), ("train", "hop"), ("eval", "metric"),
+_CLI_ONLY = {("synth-data", "n_utterances"), ("train", "hop"), ("eval", "metric"),
              ("eval", "report"), ("gradcheck", "tol")}
 
 
@@ -134,16 +133,16 @@ def test_flag_defaults_match_library_defaults():
             if f.default != library[f.name]:
                 drift.append(f"{sub}.{f.name}: flag {f.default!r}, library {library[f.name]!r}")
     assert drift == []
-    assert checked == 29
+    assert checked == 24
 
 
 # every subcommand's flags in table order; "*" marks a required flag
 _SURFACE = {
-    "synth-data": "out* n_utterances duration_s seed kinds snrs test_fraction",
+    "synth-data": "out* n_utterances duration_s seed",
     "train": "data* out* window filter_width stride enc_channels z_channels hop epochs lr "
              "batch_size lambda_l1 seed checkpoint_every adversarial accum_steps",
     "enhance": "checkpoint* in* out* z_mode z_seed",
-    "enhance-wiener": "in* out* alpha noise_frames gain_floor_db frame hop",
+    "enhance-wiener": "in* out*",
     "eval": "clean* test* metric report",
     "gradcheck": "eps tol seed",
     "shapes": "window filter_width stride enc_channels z_channels",
@@ -506,26 +505,11 @@ _INPUTS = {
 
 
 @pytest.mark.parametrize("sub, flag, value", [
-    ("enhance-wiener", "hop", "600"),
-    ("enhance-wiener", "hop", "0"),
-    ("enhance-wiener", "noise_frames", "0"),
-    ("enhance-wiener", "noise_frames", "-1"),
-    ("enhance-wiener", "alpha", "1.5"),
-    ("enhance-wiener", "alpha", "-0.1"),
-    ("enhance-wiener", "gain_floor_db", "3"),
     ("train", "hop", "-5"),
     ("train", "hop", "20000"),
     ("gradcheck", "eps", "0"),
     ("gradcheck", "tol", "nan"),
     ("gradcheck", "tol", "-1"),
-    ("synth-data", "kinds", ""),
-    ("synth-data", "snrs", ""),
-    ("synth-data", "snrs", "nan"),
-    ("synth-data", "snrs", "inf"),
-    ("synth-data", "snrs", "5,-inf"),
-    ("synth-data", "kinds", "bogus"),
-    ("synth-data", "test_fraction", "1.5"),
-    ("synth-data", "test_fraction", "-0.5"),
     ("synth-data", "duration_s", "0"),
     ("synth-data", "duration_s", "-1"),
     ("synth-data", "duration_s", "nan"),
@@ -537,6 +521,37 @@ def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert re.search(rf"\b{flag}\b", err), err
+    assert not (tmp_path / "o.wav").exists()
+    assert not (tmp_path / "corpus").exists()
+
+
+# settings fixed as constants: the flag and the config key are both refused,
+# naming the setting, before anything is written
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("sub, name, value", [
+    ("enhance-wiener", "alpha", "0.9"),
+    ("enhance-wiener", "noise_frames", "4"),
+    ("enhance-wiener", "gain_floor_db", "-20"),
+    ("enhance-wiener", "frame", "1024"),
+    ("enhance-wiener", "hop", "128"),
+    ("synth-data", "kinds", "white"),
+    ("synth-data", "snrs", "5"),
+    ("synth-data", "test_fraction", "0.5"),
+])
+def test_fixed_setting_is_refused(tmp_path, capsys, via, sub, name, value):
+    write_wav(synth_clean(seed=5, duration_s=1.0), tmp_path / "noisy.wav")
+    if via == "flag":
+        flag = f"--{name.replace('_', '-')}"
+        extra, want = [flag, value], f"unrecognized arguments: {flag} {value}"
+    else:
+        (tmp_path / "run.cfg").write_text(f"{sub}.{name}={value}\n")
+        extra = ["--config", str(tmp_path / "run.cfg")]
+        want = f"config key '{sub}.{name}' is not a flag of '{sub}'"
+    code = main([sub, *_INPUTS[sub](tmp_path), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert want in err, err
     assert not (tmp_path / "o.wav").exists()
     assert not (tmp_path / "corpus").exists()
 

@@ -135,9 +135,13 @@ def test_gains_deterministic():
 def test_gains_need_more_than_noise_frames():
     with pytest.raises(TooShortError):
         wiener_gains(np.ones((6, 9)))
-    for n in (0, -1):
-        with pytest.raises(ConfigError, match="noise_frames"):
-            wiener_gains(np.ones((20, 9)), noise_frames=n)
+
+
+def test_baseline_settings_are_not_parameters():
+    with pytest.raises(TypeError):
+        wiener_gains(np.ones((20, 9)), noise_frames=3)
+    with pytest.raises(TypeError):
+        enhance_wiener(np.zeros(4096), hop=128)
 
 
 # ---------------------------------------------------------------------------
