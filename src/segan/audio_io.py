@@ -40,8 +40,10 @@ class WavReader:
         self.path = path
         try:
             self._fh = fh = wave.open(str(path), "rb")
-        except wave.Error as exc:
-            raise UnsupportedFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+        except (wave.Error, EOFError, RuntimeError) as exc:
+            # EOFError: the header ends early; RuntimeError: a chunk size runs past the file
+            why = str(exc) or "truncated or corrupt header"
+            raise UnsupportedFormatError(f"{path}: not a readable WAV file ({why})") from exc
         try:
             if fh.getnchannels() != 1:
                 raise UnsupportedFormatError(f"{path}: expected mono, got {fh.getnchannels()} channels")

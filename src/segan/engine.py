@@ -361,13 +361,14 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
 # weights outweigh its columns runs as one GEMM and reads each weight once,
 # and the extra scratch never exceeds memory the weights already hold.
 # Blocks hold whole examples when one fits in that bound, else runs of
-# positions of one example, so the scratch memory and the summation order
-# depend on shapes alone. Where blocks hold whole examples, the scatter
-# skips the column buffer and has BLAS add each group of taps straight into
-# the output (_gemm_accumulate).
+# positions of one example, so the scratch memory depends on shapes alone.
+# The scatter adds each output's taps in ascending tap-group order whatever
+# the block plan, whether it folds block by block or has BLAS add each
+# group of taps straight into the output (_gemm_accumulate).
 
 _BLOCK_BYTES = 2 << 20
 _BLAS_MIN_ROWS = 1024   # fewer short rows than this and the numpy fold is faster
+_BLAS_MAX_C_SHORT = 256   # past one K panel BLAS adds its partial sums in another order
 
 
 def _find_blas():
@@ -472,30 +473,31 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
 
     The output is viewed as rows of stride positions, so tap group g (taps
     g*stride to g*stride + stride - 1) of short position o adds to row o + g.
-    Both forms below add each output's taps in group order, and the GEMM's
-    inner sum runs over C_short in both, so they give the same bits:
-    - BLAS accumulation, when numpy's OpenBLAS was found, C_long > 1, all
-      arrays share one float dtype, the blocks hold whole examples (split
-      examples are summed block by block, in another order) and there are
-      at least _BLAS_MIN_ROWS short rows. short is zero-padded to R rows
-      per example, R = max(ceil(long_len / stride), short_len + groups - 1),
-      so every example has one row stride, and each tap group is one ?gemm
-      at beta = 1 over all examples: output rows g .. g + batch * R - 1 +=
-      padded short @ W_g.T. A padding row adds 0 * w, +0.0 for finite
-      weights, which leaves every sum as it was. Scratch: the padded copy
-      of short (batch * R * C_short values) and no column buffer.
+    Both forms below add each output's taps in ascending group order, and
+    the GEMM's inner sum runs over C_short in both, so they give the same
+    bits while C_short fits one K panel:
+    - BLAS accumulation, when numpy's OpenBLAS was found, C_long > 1,
+      C_short <= _BLAS_MAX_C_SHORT, all arrays share one float dtype and
+      there are at least _BLAS_MIN_ROWS short rows. short is zero-padded to
+      R rows per example, R = max(ceil(long_len / stride), short_len +
+      groups - 1), so every example has one row stride, and each tap group
+      is one ?gemm at beta = 1 over all examples: output rows g .. g +
+      batch * R - 1 += padded short @ W_g.T. A padding row adds 0 * w, +0.0
+      for finite weights, which leaves every sum as it was. Scratch: the
+      padded copy of short (batch * R * C_short values) and no column buffer.
     - The numpy fold everywhere else: each block's columns come from one
       GEMM and are folded into the output by strided adds, stride taps per
       add (contiguous runs of stride * C_long values), or one tap per add
       when C_long is 1, where runs of two values make numpy's adds 2-4x
-      slower. Scratch: one column block, at most max(_BLOCK_BYTES, w.nbytes).
+      slower. Blocks run last first: of two blocks of one example, the
+      later positions add the lower tap groups to the outputs they share.
+      Scratch: one column block, at most max(_BLOCK_BYTES, w.nbytes).
     """
     width, c_long, c_short = w.shape
     batch, short_len = short.shape[:2]
     groups = -(-width // stride)
-    blocks = _blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes)
     step = stride * c_long
-    if (_BLAS is not None and c_long > 1 and blocks[0][1].stop == short_len
+    if (_BLAS is not None and c_long > 1 and c_short <= _BLAS_MAX_C_SHORT
             and batch * short_len >= _BLAS_MIN_ROWS and short.dtype == w.dtype == dtype):
         rows = max(-(-long_len // stride), short_len + groups - 1)
         a = np.zeros((batch, rows, c_short), dtype=dtype)
@@ -511,7 +513,7 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
     rows = max(-(-long_len // stride), short_len + groups)
     out = np.zeros((batch, rows * stride * c_long), dtype=dtype)
     wk = w.reshape(width * c_long, c_short).T
-    for ex, pos in blocks:
+    for ex, pos in reversed(_blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes)):
         blk = short[ex, pos]
         n = blk.shape[1]
         cols = (blk.reshape(-1, c_short) @ wk).reshape(blk.shape[0], n, width * c_long)

@@ -16,6 +16,8 @@ import numpy as np
 from . import engine as eg
 from .engine import Parameter, Tensor, backward
 from .errors import ConfigError
+from .model import (GeneratorConfig, _discriminator, _generator, d_forward, g_forward,
+                    set_reference_batch)
 
 
 def grad_check(build_loss, params: list[Parameter], eps: float) -> float:
@@ -181,6 +183,83 @@ def _case_lsq_loss(rng):
     return lambda: eg.lsq_loss(d, 1.0), [d]
 
 
+# the whole networks at a size finite differences can walk
+_NET = GeneratorConfig(window=32, filter_width=5, enc_channels=(2, 3, 4), z_channels=2)
+# how near its kink a rectifier's input may be: ten times the default eps
+_KINK_GAP = 1e-4
+
+
+def _kink_margin(loss: Tensor) -> float:
+    """The least |value| of the PReLU and VBN nodes in loss's graph. Their
+    slopes lie in (0, 1), so no rectifier's input is nearer its kink."""
+    margin, seen, stack = np.inf, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward.__qualname__.split(".")[0] in ("prelu", "_normalize"):
+                margin = min(margin, float(np.abs(node.data).min()))
+            stack.extend(p for p in node._parents if p._backward is not None)
+    return margin
+
+
+def _off_kinks(case):
+    """`case`, redrawn until every rectifier input in its loss graph lies
+    _KINK_GAP or more from the kink."""
+    def redrawn(rng):
+        for _ in range(100):
+            build_loss, params = case(rng)
+            if _kink_margin(build_loss()) >= _KINK_GAP:
+                return build_loss, params
+        raise RuntimeError(f"{case.__name__}: 100 draws, each with a rectifier input at its kink")
+    return redrawn
+
+
+def _networks(rng):
+    """float64 G and D with N(0, 0.3^2) weights, D's reference stats taken
+    from a batch of three (clean, noisy) windows, that batch and its z."""
+    def make(name, shape, fill):
+        return Parameter(name, 0.3 * rng.standard_normal(shape) if fill is None
+                         else np.full(shape, float(fill)))
+    gen, disc = _generator(_NET, make), _discriminator(_NET, make)
+    noisy, clean = (Tensor(rng.uniform(-0.5, 0.5, (3, _NET.window, 1))) for _ in range(2))
+    set_reference_batch(disc, clean, noisy)
+    z = Tensor(rng.standard_normal((3, _NET.bottleneck_len, _NET.z_channels)))
+    return gen, disc, noisy, clean, z
+
+
+def _case_generator(rng):
+    # G's phase-3 loss, the adversarial term plus 100 x L1, with respect to
+    # G through a frozen D, as in training; the L1 target sits 0.01 or more
+    # from G's output, off |.|'s kink, and close enough that the loss stays
+    # small beside its differences
+    gen, disc, noisy, _, z = _networks(rng)
+    for p in disc.parameters():
+        p.requires_grad = False
+    with eg.no_grad():
+        off = 0.01 * _away_from_zero(rng, noisy.shape, 1.0)
+        target = Tensor(g_forward(gen, noisy, z).data + off)
+    lam = Tensor(np.asarray(100.0))
+
+    def loss():
+        fake = g_forward(gen, noisy, z)
+        return eg.add(eg.lsq_loss(d_forward(disc, fake, noisy), 1.0),
+                      eg.mul(eg.l1_loss(fake, target), lam))
+    return loss, gen.parameters()
+
+
+def _case_discriminator(rng):
+    # D's real-plus-fake least-squares loss with respect to D
+    gen, disc, noisy, clean, z = _networks(rng)
+    with eg.no_grad():
+        fake = g_forward(gen, noisy, z)
+
+    def loss():
+        return eg.add(eg.lsq_loss(d_forward(disc, clean, noisy), 1.0),
+                      eg.lsq_loss(d_forward(disc, fake, noisy), 0.0))
+    return loss, disc.parameters()
+
+
 OP_CASES = {
     "add": _case_add,
     "sub": _case_sub,
@@ -205,6 +284,8 @@ OP_CASES = {
     "virtual_batch_norm_n_ref_1": partial(_case_vbn, n_ref=1),
     "l1_loss": _case_l1_loss,
     "lsq_loss": _case_lsq_loss,
+    "generator": _off_kinks(_case_generator),
+    "discriminator": _off_kinks(_case_discriminator),
 }
 
 

@@ -175,22 +175,30 @@ class MosSummary:
 
 def load_ratings(path) -> list[Rating]:
     """CSV with header listener,sentence,system,score."""
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"listener", "sentence", "system", "score"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header listener,sentence,system,score")
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            if None in rec or None in rec.values():   # a row longer or shorter than the header
-                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields, as in the header")
-            try:
-                score = int(rec["score"])
-            except ValueError:
-                raise ValueError(f"{where}: score {rec['score']!r} is not an integer") from None
-            rows.append(Rating(rec["listener"].strip(), rec["sentence"].strip(),
-                               rec["system"].strip(), score))
+        try:
+            return _ratings(path, reader)
+        except csv.Error as exc:    # a field past the csv module's size limit
+            # the underlying reader has counted the failing line; DictReader has not
+            raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
+
+
+def _ratings(path, reader: csv.DictReader) -> list[Rating]:
+    need = {"listener", "sentence", "system", "score"}
+    if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        raise ValueError(f"{path}: expected header listener,sentence,system,score")
+    rows = []
+    for rec in reader:
+        where = f"{path} line {reader.line_num}"
+        if None in rec or None in rec.values():   # a row longer or shorter than the header
+            raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields, as in the header")
+        try:
+            score = int(rec["score"])
+        except ValueError:
+            raise ValueError(f"{where}: score {rec['score']!r} is not an integer") from None
+        rows.append(Rating(rec["listener"].strip(), rec["sentence"].strip(),
+                           rec["system"].strip(), score))
     return rows
 
 

@@ -337,6 +337,14 @@ def test_mos_bad_row(tmp_path, capsys, row):
     assert f"error: {csv} line 3: " in capsys.readouterr().err
 
 
+def test_mos_field_past_the_csv_size_limit(tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    csv.write_text("listener,sentence,system,score\nl1,s1,noisy,2\n" + "l" * 131073 + ",s1,segan,4\n")
+    assert main(["mos", "--ratings", str(csv)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {csv} line 3: field larger than field limit (131072)"]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
@@ -488,6 +496,24 @@ def test_every_wav_reader_rejects_other_rates(tmp_path, capsys, sub, rate):
     assert main([sub, *_reader_args(sub, tmp_path, wav)]) == 2
     assert f"error: {wav}: expected 16 or 48 kHz, got {rate}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["enhance-wiener", "eval"])
+def test_a_malformed_wav_header_is_one_error_line(tmp_path, capsys, sub):
+    # the file cut at every byte of its 44-byte header, and its fmt chunk
+    # size (bytes 16-19) corrupted so that the chunk runs past the file
+    wav = tmp_path / "in.wav"
+    write_raw_wav(wav, np.zeros(4000, np.int16))
+    whole = wav.read_bytes()
+    assert len(whole) == 44 + 8000 and whole[12:16] == b"fmt " and whole[36:40] == b"data"
+    bads = [whole[:cut] for cut in range(44)]
+    bads.append(whole[:16] + (0xFFFFFFF0).to_bytes(4, "little") + whole[20:])
+    for bad in bads:
+        wav.write_bytes(bad)
+        assert main([sub, *_reader_args(sub, tmp_path, wav)]) == 2, len(bad)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {wav}: not a readable WAV file ("), err
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

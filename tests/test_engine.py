@@ -1,6 +1,7 @@
 """Autodiff engine: forward fixtures, brute-force oracles, gradient routing."""
 
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -343,8 +344,10 @@ def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, l
         assert np.max(np.abs(cw.grad - conv1d_weight_grad_oracle(x, g, width, stride))) <= 1e-12
         assert np.max(np.abs(cx.grad - want)) <= 1e-12, form
         assert np.max(np.abs(up - want)) <= 1e-12, form
-        # correlate, weight gradient, scatter, scatter
-        assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * 4
+        # correlate, weight gradient, then the two scatters where they fold:
+        # BLAS accumulation makes no block plan
+        folds = form == "fold" or eg._BLAS is None or c_long == 1
+        assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * (4 if folds else 2)
 
 
 def test_blocks_are_bounded_by_the_larger_of_the_cap_and_the_weights():
@@ -452,20 +455,27 @@ def test_weight_gradient_scratch_is_one_column_block():
     assert peak <= 1.1 * (w.nbytes + block), (peak, w.nbytes, block)
 
 
-def _full_scale_decoder_scatters():
-    """(short, weight) shapes, stride and long length of the scatter of each
-    full-scale decoder layer at ENHANCE_BATCH windows that has at least
-    _BLAS_MIN_ROWS short rows; the deeper ones always take the numpy fold."""
+def _full_scale_decoder_scatter(k, batch=ENHANCE_BATCH):
+    """(short, weight) shapes, stride and long length of the scatter of
+    full-scale decoder layer k (dec1 next to the output) at `batch` windows."""
     cfg = GeneratorConfig()
     enc_in = [1, *cfg.enc_channels[:-1]]
-    for k in range(1, len(cfg.enc_channels) + 1):
-        n = cfg.window // cfg.stride ** k
-        c_short = (2 * cfg.enc_channels[k - 1] if k < len(cfg.enc_channels)
-                   else cfg.enc_channels[-1] + cfg.z_channels)
-        pad_total = eg._conv_geometry(n * cfg.stride, cfg.filter_width, cfg.stride)[1]
-        if ENHANCE_BATCH * n >= eg._BLAS_MIN_ROWS:
-            yield ((ENHANCE_BATCH, n, c_short), (cfg.filter_width, enc_in[k - 1], c_short),
-                   cfg.stride, n * cfg.stride + pad_total)
+    n = cfg.window // cfg.stride ** k
+    c_short = (2 * cfg.enc_channels[k - 1] if k < len(cfg.enc_channels)
+               else cfg.enc_channels[-1] + cfg.z_channels)
+    pad_total = eg._conv_geometry(n * cfg.stride, cfg.filter_width, cfg.stride)[1]
+    return ((batch, n, c_short), (cfg.filter_width, enc_in[k - 1], c_short),
+            cfg.stride, n * cfg.stride + pad_total)
+
+
+def _full_scale_decoder_scatters():
+    """The full-scale decoder scatters at ENHANCE_BATCH windows that have at
+    least _BLAS_MIN_ROWS short rows; the deeper ones always take the numpy
+    fold."""
+    for k in range(1, len(GeneratorConfig().enc_channels) + 1):
+        call = _full_scale_decoder_scatter(k)
+        if call[0][0] * call[0][1] >= eg._BLAS_MIN_ROWS:
+            yield call
 
 
 @pytest.mark.skipif(eg._BLAS is None, reason="numpy's OpenBLAS was not found")
@@ -473,12 +483,16 @@ def test_scatter_forms_are_bitwise_equal(monkeypatch):
     # BLAS accumulation against the numpy fold at every train-adv scatter
     # and every full-scale decoder scatter it can take, in both float dtypes
     # and in every block regime; the rule picks each form somewhere in each.
-    # Full-scale weights outweigh caps of 1 and 200 bytes, so under those
-    # the rule picks the form it picks at the default: they are not rerun.
+    # At the default cap the full-scale dec2-dec5 folds split examples.
+    # Full-scale dec8 at micro-batch 16 has C_short 512, past one K panel,
+    # where the forms differ: the rule must give it the fold.
     default = eg._BLOCK_BYTES
     cases = [(call[:4], (default, 1, 200, 1 << 40)) for call in _train_adv_calls("_scatter")]
     assert len(cases) >= 8
     cases += [(call, (default, 1 << 40)) for call in _full_scale_decoder_scatters()]
+    wide = _full_scale_decoder_scatter(8, batch=16)
+    assert wide[1][2] > eg._BLAS_MAX_C_SHORT and wide[0][0] * wide[0][1] >= eg._BLAS_MIN_ROWS
+    cases.append((wide, (default,)))
     taken, gemm = [], eg._gemm_accumulate
 
     def spy(*args):
@@ -498,12 +512,47 @@ def test_scatter_forms_are_bitwise_equal(monkeypatch):
                 forms.setdefault(block_bytes, set()).add(bool(taken))
                 if not taken:
                     continue            # it ran the fold itself
+                assert w_shape[2] <= eg._BLAS_MAX_C_SHORT, (dtype, short_shape, w_shape)
                 assert taken == list(range(-(-w_shape[0] // stride)))
                 with scatter_form("fold"):
                     want = eg._scatter(short, w, stride, long_len, dtype)
                 assert got.dtype == dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (block_bytes, dtype, short_shape, w_shape)
     assert all(seen == {True, False} for seen in forms.values()), forms
+
+
+def _splits_examples(short_shape, w_shape):
+    """Whether the float32 block plan of this scatter splits an example."""
+    blocks = eg._blocks(short_shape[0], short_shape[1], w_shape[0] * w_shape[1] * 4,
+                        4 * math.prod(w_shape))
+    return blocks[0][1].stop < short_shape[1]
+
+
+def test_fold_bytes_do_not_depend_on_the_block_cap(monkeypatch):
+    # the numpy fold over examples split into position blocks adds each
+    # output's taps in the order it uses for whole examples: full-scale dec3
+    # at ENHANCE_BATCH windows is split at the default cap, and so are the
+    # train-adv scatters under a 200-byte cap. g.dec1 (C_long 1) is left
+    # out: its 32-row blocks at that cap get other bits from OpenBLAS's
+    # small-matrix sgemm (K 32, N 31) before the fold adds anything.
+    default = eg._BLOCK_BYTES
+    train_adv = [call[:4] for call in _train_adv_calls("_scatter") if call[1][1] > 1]
+    monkeypatch.setattr(eg, "_BLOCK_BYTES", 200)
+    cases = [call for call in train_adv if _splits_examples(*call[:2])]
+    assert len(cases) >= 2
+    cases.append(_full_scale_decoder_scatter(3))
+    rng = np.random.default_rng(15)
+    for short_shape, w_shape, stride, long_len in cases:
+        short = rng.standard_normal(short_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        outs = {}
+        for block_bytes in (default, 1, 200, 1 << 40):
+            monkeypatch.setattr(eg, "_BLOCK_BYTES", block_bytes)
+            with scatter_form("fold"):
+                out = eg._scatter(short, w, stride, long_len, np.float32)
+            outs[block_bytes, _splits_examples(short_shape, w_shape)] = out.tobytes()
+        assert {split for _, split in outs} == {True, False}, (short_shape, w_shape)
+        assert len(set(outs.values())) == 1, (short_shape, w_shape, list(outs))
 
 
 def test_blas_accumulate_rejects_malformed_calls():

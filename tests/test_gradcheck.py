@@ -22,7 +22,8 @@ def test_required_ops_are_covered():
               "conv1d_transpose_one_channel", "prelu", "leaky_relu",
               "virtual_batch_norm", "virtual_batch_norm_n_ref_1", "linear", "tanh",
               "lsq_loss", "l1_loss", "add", "sub", "mul", "absolute",
-              "mean", "sum", "mean_axis", "reshape", "concat_channels"}
+              "mean", "sum", "mean_axis", "reshape", "concat_channels", "generator",
+              "discriminator"}
     assert needed <= set(OP_CASES)
 
 

@@ -210,6 +210,37 @@ def test_gradient_accumulation_sums_micro_batches():
             assert np.allclose(d1[big], d4[big], rtol=1e-2, atol=1e-9)
 
 
+class HeldRMSprop(SpyRMSprop):
+    """Records the gradients of every step and leaves the parameters where they are."""
+
+    def step(self):
+        self.grads.append([p.grad.copy() for p in self.params])
+
+
+def test_adversarial_generator_gradients_sum_micro_batches():
+    # phase 3 at accum_steps 2 against 1, D held still by its optimizer so
+    # both runs score the fakes with the same D: two half-batch means sum to
+    # twice the full-batch mean, up to float32 rounding of the reordered sums
+    # (3e-6 relative at most here)
+    rng = np.random.default_rng(8)
+    noisy, clean = _batch(rng, n=4)
+    z = sample_z(4, TINY.bottleneck_len, TINY.z_channels, seed=3)
+    grads = {}
+    for accum in (1, 2):
+        gen, disc = build_generator(TINY, seed=5), build_discriminator(TINY, seed=6)
+        set_reference_batch(disc, clean, noisy)
+        g_opt, d_opt = HeldRMSprop(gen.parameters()), HeldRMSprop(disc.parameters())
+        train_step(gen, disc, g_opt, d_opt, noisy, clean, z, TrainConfig(epochs=1, accum_steps=accum))
+        # phase 3 adds nothing to D's gradients: they are the ones phase 2 stepped on
+        assert len(d_opt.grads) == 2
+        for p, phase2 in zip(disc.parameters(), d_opt.grads[1]):
+            assert np.array_equal(p.grad, phase2), (accum, p.name)
+        grads[accum] = g_opt.grads[0]
+    for p, g1, g2 in zip(gen.parameters(), grads[1], grads[2]):
+        assert np.any(g1 != 0), p.name
+        assert np.allclose(g2, 2.0 * g1, rtol=1e-5, atol=1e-7 * np.abs(g1).max()), p.name
+
+
 def test_accum_steps_beyond_batch_size_clamps():
     rng = np.random.default_rng(1)
     gen = build_generator(TINY, seed=2)
