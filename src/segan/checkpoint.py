@@ -81,7 +81,12 @@ class _Reader:
         if any(self.take(-start % ALIGN)):
             raise CorruptCheckpointError(f"{self.path}: nonzero padding at byte {start}")
         count = math.prod(shape)
-        return np.frombuffer(self.buf, "<f4", count, offset=self._claim(4 * count)).reshape(shape)
+        payload = np.frombuffer(self.buf, "<f4", count, offset=self._claim(4 * count))
+        try:
+            return payload.reshape(shape)
+        except ValueError:      # more dimensions than numpy supports
+            raise CorruptCheckpointError(
+                f"{self.path}: rank {len(shape)} tensor at byte {start}") from None
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

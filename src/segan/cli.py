@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -29,7 +30,14 @@ from .dataset import (
     write_manifest,
 )
 from .engine import scatter_path
-from .errors import ConfigError, SeganError
+from .errors import (
+    ConfigError,
+    IncompleteTripletError,
+    ManifestError,
+    SeganError,
+    TooShortError,
+    read_text,
+)
 from .gradcheck import check_all_ops
 from .metrics import aggregate_mos, llr, load_ratings, metric_means, ssnr, write_report
 from .model import GeneratorConfig, shape_ledger
@@ -39,6 +47,17 @@ from .wiener import enhance_wiener
 
 class _UsageError(Exception):
     pass
+
+
+@contextmanager
+def _naming(path, *types):
+    """Re-raise an exception of `types` with `path` in front of its message,
+    for errors about a file's contents raised by code that never sees the
+    file's name."""
+    try:
+        yield
+    except types as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,7 +198,7 @@ def parse_config_file(path) -> dict[str, str]:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     out = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(p, ConfigError).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -217,7 +236,10 @@ def resolve_flags(sub: str, ns: argparse.Namespace) -> dict:
     resolved = {}
     for f in table:
         if f.name in raw:
-            value = f.convert(raw[f.name])
+            try:
+                value = f.convert(raw[f.name])
+            except ConfigError as exc:
+                raise ConfigError(f"{sub}.{f.name}: {exc}") from None
             if f.choices and value not in f.choices:
                 raise ConfigError(f"{sub}.{f.name} must be one of {f.choices}, got {value!r}")
         elif f.required:
@@ -287,6 +309,8 @@ def cmd_train(v: dict) -> int:
     entries = load_manifest(v["data"])
     corpus = build_pairs(iter_utterances(entries, "train", seed=tcfg.seed),
                          window=mcfg.window, hop=hop)
+    if not len(corpus):
+        raise ManifestError(f"{v['data']}: no train entry with any samples")
     print(f"corpus: {corpus.utterances} utterances, {len(corpus)} windows "
           f"(window {corpus.window}, hop {corpus.hop}), {corpus.nbytes / 2**20:.2f} MB")
     out = Path(v["out"])
@@ -309,7 +333,9 @@ def cmd_enhance(v: dict) -> int:
 
 
 def cmd_enhance_wiener(v: dict) -> int:
-    write_wav(enhance_wiener(read_wav(v["in"])), v["out"])
+    with _naming(v["in"], TooShortError):
+        enhanced = enhance_wiener(read_wav(v["in"]))
+    write_wav(enhanced, v["out"])
     print(f"enhanced {v['in']} -> {v['out']}")
     return 0
 
@@ -323,7 +349,8 @@ def cmd_eval(v: dict) -> int:
     for cpath, tpath in zip(cleans, tests):
         cw, tw = read_wav(cpath), read_wav(tpath)
         for m in metrics:
-            value = ssnr(cw, tw) if m == "ssnr" else llr(cw, tw)
+            with _naming(f"{cpath} against {tpath}", SeganError):
+                value = ssnr(cw, tw) if m == "ssnr" else llr(cw, tw)
             rows.append((tpath, m, value))
     if len(rows) == 1:
         print(rows[0][2])
@@ -342,7 +369,7 @@ def cmd_gradcheck(v: dict) -> int:
     if not 0 < v["tol"] < np.inf:
         raise ConfigError(f"gradcheck.tol must be positive and finite, got {v['tol']}")
     results = check_all_ops(**_library_args(check_all_ops, v))
-    failed = [name for name, err in results.items() if err >= v["tol"]]
+    failed = [name for name, err in results.items() if not err < v["tol"]]
     for name, err in results.items():
         print(f"{name:<22} {err:.3e}  {'FAIL' if name in failed else 'ok'}")
     if failed:
@@ -368,7 +395,9 @@ def cmd_shapes(v: dict) -> int:
 
 
 def cmd_mos(v: dict) -> int:
-    summary = aggregate_mos(load_ratings(v["ratings"]))
+    rows = load_ratings(v["ratings"])
+    with _naming(v["ratings"], ValueError, IncompleteTripletError):
+        summary = aggregate_mos(rows)
     for system, value in summary.mos.items():
         print(f"MOS {system} {value:.4f}")
     for (a, b), value in summary.cmos.items():
@@ -406,6 +435,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    config = None
     try:
         try:
             ns = parser.parse_args(args)
@@ -414,13 +444,17 @@ def main(argv=None) -> int:
         if ns.subcommand is None:
             parser.print_help()
             return 1
+        config = ns.config
         values = resolve_flags(ns.subcommand, ns)
         for line in _resolved_lines(values):
             print(f"config {ns.subcommand}.{line}")
         print(f"config engine.scatter={scatter_path()}")
         return _HANDLERS[ns.subcommand](values)
     except (_UsageError, ConfigError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if config and config not in message:
+            message += f" (with config file {config})"
+        print(f"usage error: {message}", file=sys.stderr)
         return 1
     except (SeganError, ValueError) as exc:
         # Library modules signal bad runtime data with ValueError.

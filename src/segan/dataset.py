@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import SAMPLE_RATE, preemphasis, read_wav, window_starts
-from .errors import ManifestError, ZeroPowerError
+from .errors import ManifestError, ZeroPowerError, read_text
 
 
 class NoiseKind(str, Enum):
@@ -165,7 +165,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         raise FileNotFoundError(f"manifest not found: {path}")
     entries = []
     base = p.parent
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(p, ManifestError).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

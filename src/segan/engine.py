@@ -354,17 +354,17 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
 # Three kernels serve both convolutions. A tap k connects long position
 # o*stride + k with short position o through w[k] (long channels, short
 # channels): conv1d runs long -> short, conv1d_transpose short -> long.
-# Each kernel is one GEMM per block of short positions over im2col columns
-# (Chellapilla et al. 2006): row o holds the width taps of long channels
-# that meet short position o. A block's columns may take the larger of
-# _BLOCK_BYTES and the bytes of the layer's own weights, so a layer whose
-# weights outweigh its columns runs as one GEMM and reads each weight once,
-# and the extra scratch never exceeds memory the weights already hold.
-# Blocks hold whole examples when one fits in that bound, else runs of
-# positions of one example, so the scratch memory depends on shapes alone.
-# The scatter adds each output's taps in ascending tap-group order whatever
-# the block plan, whether it folds block by block or has BLAS add each
-# group of taps straight into the output (_gemm_accumulate).
+# _correlate and _tap_grad are one GEMM per block of short positions over
+# im2col columns (Chellapilla et al. 2006): row o holds the width taps of
+# long channels that meet short position o. One scratch rule holds for
+# them and for both forms of _scatter: each walks the plan _blocks makes
+# from its own row bytes and frees a block's scratch before it makes the
+# next. A block may take the larger of _BLOCK_BYTES and the layer's weight
+# bytes, so a layer whose weights outweigh its rows runs as one GEMM and
+# reads each weight once, and the extra scratch never exceeds memory the
+# weights already hold. Blocks hold whole examples when one fits in that
+# bound, else runs of positions of one example, so the scratch memory
+# depends on shapes alone.
 
 _BLOCK_BYTES = 2 << 20
 _BLAS_MIN_ROWS = 1024   # fewer short rows than this and the numpy fold is faster
@@ -465,63 +465,63 @@ def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dty
         dst = out[ex, pos].reshape(-1, c_short)
         assert dst.base is out
         np.matmul(blk, wk, out=dst)
+        del blk     # before the next block's copy is made
     return out
 
 
 def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype) -> np.ndarray:
     """Short -> long, the adjoint of _correlate: out[:, o*stride + k] += short[:, o] @ w[k].T.
 
-    The output is viewed as rows of stride positions, so tap group g (taps
-    g*stride to g*stride + stride - 1) of short position o adds to row o + g.
-    Both forms below add each output's taps in ascending group order, and
-    the GEMM's inner sum runs over C_short in both, so they give the same
-    bits while C_short fits one K panel:
+    The output is R rows of stride positions per example, R = max(ceil(long_len
+    / stride), short_len + groups), so tap group g (taps g*stride to g*stride +
+    stride - 1) of short position o adds to row o + g. Both forms walk one
+    block plan, last block first, into that output; each adds an output's
+    taps in ascending group order with the GEMM's inner sum over C_short, so
+    they give the same bits while C_short fits one K panel:
     - BLAS accumulation, when numpy's OpenBLAS was found, C_long > 1,
       C_short <= _BLAS_MAX_C_SHORT, all arrays share one float dtype and
-      there are at least _BLAS_MIN_ROWS short rows. short is zero-padded to
-      R rows per example, R = max(ceil(long_len / stride), short_len +
-      groups - 1), so every example has one row stride, and each tap group
-      is one ?gemm at beta = 1 over all examples: output rows g .. g +
-      batch * R - 1 += padded short @ W_g.T. A padding row adds 0 * w, +0.0
-      for finite weights, which leaves every sum as it was. Scratch: the
-      padded copy of short (batch * R * C_short values) and no column buffer.
+      there are at least _BLAS_MIN_ROWS short rows. A block's examples are
+      zero-padded to R rows, and each tap group is one ?gemm at beta = 1
+      into the output from the block's first row + g. A padding row adds
+      0 * w, +0.0 for finite weights, which leaves every sum as it was.
     - The numpy fold everywhere else: each block's columns come from one
       GEMM and are folded into the output by strided adds, stride taps per
       add (contiguous runs of stride * C_long values), or one tap per add
       when C_long is 1, where runs of two values make numpy's adds 2-4x
-      slower. Blocks run last first: of two blocks of one example, the
-      later positions add the lower tap groups to the outputs they share.
-      Scratch: one column block, at most max(_BLOCK_BYTES, w.nbytes).
+      slower. Of two blocks of one example, the later positions add the
+      lower tap groups to the outputs they share, so they go first.
     """
     width, c_long, c_short = w.shape
     batch, short_len = short.shape[:2]
     groups = -(-width // stride)
     step = stride * c_long
-    if (_BLAS is not None and c_long > 1 and c_short <= _BLAS_MAX_C_SHORT
-            and batch * short_len >= _BLAS_MIN_ROWS and short.dtype == w.dtype == dtype):
-        rows = max(-(-long_len // stride), short_len + groups - 1)
-        a = np.zeros((batch, rows, c_short), dtype=dtype)
-        a[:, :short_len] = short
-        a = a.reshape(batch * rows, c_short)
-        out = np.zeros((batch * rows + groups - 1, step), dtype=dtype)   # groups - 1 spill rows
-        wk = np.ascontiguousarray(w).reshape(width * c_long, c_short)
-        for g in range(groups):
-            _gemm_accumulate(out, g, a, wk[g * step:(g + 1) * step])
-        return out[:batch * rows].reshape(batch, rows * stride, c_long)[:, :long_len]
     group = stride if c_long > 1 else 1
-    # room for every tap of every block: rows of stride positions
+    blas = (_BLAS is not None and c_long > 1 and c_short <= _BLAS_MAX_C_SHORT
+            and batch * short_len >= _BLAS_MIN_ROWS and short.dtype == w.dtype == dtype)
     rows = max(-(-long_len // stride), short_len + groups)
-    out = np.zeros((batch, rows * stride * c_long), dtype=dtype)
-    wk = w.reshape(width * c_long, c_short).T
-    for ex, pos in reversed(_blocks(batch, short_len, width * c_long * short.itemsize, w.nbytes)):
+    out = np.zeros((batch, rows * step), dtype=dtype)
+    wk = w.reshape(width * c_long, c_short)
+    row_bytes = (c_short if blas else width * c_long) * short.itemsize
+    for ex, pos in reversed(_blocks(batch, short_len, row_bytes, w.nbytes)):
         blk = short[ex, pos]
-        n = blk.shape[1]
-        cols = (blk.reshape(-1, c_short) @ wk).reshape(blk.shape[0], n, width * c_long)
-        for k in range(0, width, group):
-            c = min(group, width - k) * c_long
-            at = (pos.start * stride + k) * c_long
-            dst = out[ex, at:at + n * step].reshape(-1, n, step)
-            dst[:, :, :c] += cols[:, :, k * c_long:k * c_long + c]
+        m, n = blk.shape[:2]
+        if blas:
+            r = rows if m > 1 else n        # one example's block needs no padding
+            a = np.zeros((m, r, c_short), dtype=dtype)
+            a[:, :n] = blk
+            a = a.reshape(-1, c_short)[:(m - 1) * r + n]
+            at = ex.start * rows + pos.start
+            for g in range(groups):
+                _gemm_accumulate(out.reshape(-1, step), at + g, a, wk[g * step:(g + 1) * step])
+            del a       # before the next block's copy is made
+        else:
+            cols = (blk.reshape(-1, c_short) @ wk.T).reshape(m, n, width * c_long)
+            for k in range(0, width, group):
+                c = min(group, width - k) * c_long
+                at = (pos.start * stride + k) * c_long
+                dst = out[ex, at:at + n * step].reshape(-1, n, step)
+                dst[:, :, :c] += cols[:, :, k * c_long:k * c_long + c]
+            del cols    # before the next block's columns are made
     return out.reshape(batch, rows * stride, c_long)[:, :long_len]
 
 

@@ -2,7 +2,21 @@
 
 Plain I/O failures use the builtins (FileNotFoundError, OSError); everything
 with package-specific meaning gets a class here so callers can catch narrowly.
+`read_text` turns a text file's undecodable bytes into its reader's error.
 """
+
+from pathlib import Path
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of the file at `path`. Bytes that do not decode raise
+    `error`, naming the file and the line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 class SeganError(Exception):

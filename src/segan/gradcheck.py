@@ -24,7 +24,8 @@ def grad_check(build_loss, params: list[Parameter], eps: float) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error is |fd - an| / max(|fd|, |an|); coordinates where both
-    magnitudes fall below 1e-7 count as exact agreement.
+    magnitudes fall below 1e-7 count as exact agreement, and a non-finite
+    value on either side makes the error inf.
     """
     if not eps > 0:
         raise ConfigError(f"eps must be positive, got {eps}")
@@ -45,6 +46,8 @@ def grad_check(build_loss, params: list[Parameter], eps: float) -> float:
             flat[i] = saved
             fd = (f_plus - f_minus) / (2.0 * eps)
             an_i = an_flat[i]
+            if not (np.isfinite(fd) and np.isfinite(an_i)):
+                return float("inf")
             if abs(fd) < 1e-7 and abs(an_i) < 1e-7:
                 continue
             worst = max(worst, abs(fd - an_i) / max(abs(fd), abs(an_i)))

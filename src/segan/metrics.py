@@ -8,6 +8,7 @@ aggregation from a ratings table.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .errors import (
     IncompleteTripletError,
     LengthMismatchError,
     NumericalError,
+    read_text,
 )
 
 SYSTEMS = ("noisy", "wiener", "segan")
@@ -175,13 +177,12 @@ class MosSummary:
 
 def load_ratings(path) -> list[Rating]:
     """CSV with header listener,sentence,system,score."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            return _ratings(path, reader)
-        except csv.Error as exc:    # a field past the csv module's size limit
-            # the underlying reader has counted the failing line; DictReader has not
-            raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path, ValueError), newline=""))
+    try:
+        return _ratings(path, reader)
+    except csv.Error as exc:    # a field past the csv module's size limit
+        # the underlying reader has counted the failing line; DictReader has not
+        raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from None
 
 
 def _ratings(path, reader: csv.DictReader) -> list[Rating]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import ConfigError, ShapeMismatchError, TooShortError
+from .errors import ShapeMismatchError, TooShortError
 
 # Frames are transformed in blocks of at most this many (0.5 MB of 512-sample
 # frames, as fast as larger blocks), so the scratch memory stays bounded
@@ -22,53 +22,50 @@ FRAME = 512             # STFT frame length
 HOP = 256               # STFT hop
 
 
-def stft(x: np.ndarray, frame: int = FRAME, hop: int = HOP) -> np.ndarray:
-    """Hamming-windowed real FFT with a zero-padded tail so the frames cover the
-    whole signal: complex, (n_frames, frame // 2 + 1).
+def stft(x: np.ndarray) -> np.ndarray:
+    """Hamming-windowed real FFT of FRAME-sample frames HOP apart, with a
+    zero-padded tail so the frames cover the whole signal: complex,
+    (n_frames, FRAME // 2 + 1).
     """
-    if not 0 < hop <= frame:
-        raise ConfigError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
-    if x.size < frame:
-        raise TooShortError(f"signal of {x.size} samples shorter than one frame ({frame})")
-    win = np.hamming(frame)
-    n_frames = 1 + -(-(x.size - frame) // hop)
-    padded = np.zeros((n_frames - 1) * hop + frame)
+    if x.size < FRAME:
+        raise TooShortError(f"signal of {x.size} samples shorter than one frame ({FRAME})")
+    win = np.hamming(FRAME)
+    n_frames = 1 + -(-(x.size - FRAME) // HOP)
+    padded = np.zeros((n_frames - 1) * HOP + FRAME)
     padded[:x.size] = x
-    frames = sliding_window_view(padded, frame)[::hop]
-    rows = np.empty((n_frames, frame // 2 + 1), dtype=np.complex128)
+    frames = sliding_window_view(padded, FRAME)[::HOP]
+    rows = np.empty((n_frames, FRAME // 2 + 1), dtype=np.complex128)
     for b in range(0, n_frames, _BLOCK_FRAMES):
         np.fft.rfft(frames[b:b + _BLOCK_FRAMES] * win, axis=-1, out=rows[b:b + _BLOCK_FRAMES])
     return rows
 
 
-def istft(spec: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Weighted overlap-add inverse of a (n_frames, frame // 2 + 1) spectrogram:
-    sum of window-weighted frames divided by the summed squared window, which
-    reconstructs exactly wherever the denominator is nonzero. Output length
-    is (n_frames-1)*hop + frame.
+def istft(spec: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add inverse of stft's (n_frames, FRAME // 2 + 1)
+    spectrogram: sum of window-weighted frames divided by the summed squared
+    window, which reconstructs exactly wherever the denominator is nonzero.
+    Output length is (n_frames-1)*HOP + FRAME.
     """
-    if not 0 < hop <= frame:
-        raise ConfigError(f"need 0 < hop <= frame, got frame={frame} hop={hop}")
     if spec.ndim != 2:
         raise ShapeMismatchError(f"expected (frames, bins), got {spec.shape}")
-    if spec.shape[1] != frame // 2 + 1:
-        raise ShapeMismatchError(f"{spec.shape[1]} bins inconsistent with frame {frame}")
-    win = np.hamming(frame)
+    if spec.shape[1] != FRAME // 2 + 1:
+        raise ShapeMismatchError(f"{spec.shape[1]} bins inconsistent with frame {FRAME}")
+    win = np.hamming(FRAME)
     n_frames = spec.shape[0]
-    length = (n_frames - 1) * hop + frame
+    length = (n_frames - 1) * HOP + FRAME
     num = np.zeros(length)
     den = np.zeros(length)
     # Frames q apart never overlap, so each residue class mod q is one
-    # strided add. With q <= 2 a sample sums at most two terms, so the
+    # strided add. With q = 2 a sample sums at most two terms, so the
     # result matches a frame-by-frame overlap-add bit for bit.
-    q = -(-frame // hop)
+    q = -(-FRAME // HOP)
     for b in range(0, n_frames, _BLOCK_FRAMES):
-        rows = np.fft.irfft(spec[b:b + _BLOCK_FRAMES], n=frame, axis=-1)
+        rows = np.fft.irfft(spec[b:b + _BLOCK_FRAMES], n=FRAME, axis=-1)
         rows *= win
         for m in range(min(q, rows.shape[0])):
             group = rows[m::q]
-            at = (b + m) * hop
-            strides = (q * hop * num.itemsize, num.itemsize)
+            at = (b + m) * HOP
+            strides = (q * HOP * num.itemsize, num.itemsize)
             num_view = as_strided(num[at:], group.shape, strides)
             den_view = as_strided(den[at:], group.shape, strides)
             num_view += group
@@ -105,4 +102,4 @@ def enhance_wiener(noisy: np.ndarray) -> np.ndarray:
     equals the input length exactly.
     """
     spec = stft(noisy)
-    return istft(wiener_gains(np.abs(spec) ** 2) * spec, FRAME, HOP)[:noisy.size]
+    return istft(wiener_gains(np.abs(spec) ** 2) * spec)[:noisy.size]

@@ -123,6 +123,14 @@ def test_duplicate_names_rejected(tmp_path):
         load_tensors(path)
 
 
+def test_rank_past_numpys_dimensions_rejected(tmp_path):
+    # a one-value tensor of rank 65, one more than numpy 2 allows
+    path = tmp_path / "rank.sgn"
+    path.write_bytes(archive_bytes([(b"x", (1,) * 65, np.array([1.0], dtype="<f4").tobytes())]))
+    with pytest.raises(CorruptCheckpointError, match=f"{path}: rank 65 tensor"):
+        load_tensors(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "trail.sgn"
     save_tensors(path, {"x": np.array([1.0], dtype=np.float32)})

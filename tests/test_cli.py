@@ -220,6 +220,59 @@ def test_parse_config_file_comments(tmp_path):
     assert parse_config_file(cfg) == {"shapes.window": "8192"}
 
 
+# a text file holding one byte that is not UTF-8, read through the CLI
+@pytest.mark.parametrize("name, flag, sub, code", [
+    ("run.cfg", "--config", "shapes", 1), ("m.tsv", "--data", "train", 2),
+    ("r.csv", "--ratings", "mos", 2)])
+def test_a_non_utf8_text_file_is_one_error_line_naming_it(tmp_path, capsys, name, flag, sub, code):
+    (tmp_path / name).write_bytes(b"# first line\n\xff\n")
+    out = ["--out", str(tmp_path / "out")] if sub == "train" else []
+    assert main([sub, flag, str(tmp_path / name), *out]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{tmp_path / name}:2: not UTF-8 text" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("shapes.window=12x\n", "shapes.window: expected an integer, got '12x'"),
+    ("shapes.window=1000\n", "window 1000 not divisible by stride^11 = 2048"),
+    ("shapes.bogus=1\n", "config key 'shapes.bogus' is not a flag of 'shapes'"),
+])
+def test_a_config_file_error_names_the_file(tmp_path, capsys, text, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["shapes", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: {want} (with config file {cfg})"]
+    # the same value on the command line names the flag, and no file
+    assert main(["shapes", "--window", "12x"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: shapes.window: expected an integer, got '12x'"]
+
+
+def test_content_errors_name_the_file(tmp_path, capsys):
+    # errors raised by code that never sees the file name: a WAV too short
+    # for the Wiener noise estimate or for one SSNR frame, ratings missing a
+    # system, and a manifest with no train window
+    wav, tiny = tmp_path / "short.wav", tmp_path / "tiny.wav"
+    write_raw_wav(wav, np.zeros(1000, np.int16))
+    write_raw_wav(tiny, np.ones(10, np.int16))
+    csv = tmp_path / "r.csv"
+    csv.write_text("listener,sentence,system,score\nl1,s1,noisy,2\nl1,s1,wiener,3\n")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("short.wav\tSYNTH:white\t5\ttest\n")
+    for argv, name in [(["enhance-wiener", "--in", str(wav), "--out", str(tmp_path / "out")], wav),
+                       (["eval", "--clean", str(tiny), "--test", str(tiny)],
+                        f"{tiny} against {tiny}"),
+                       (["mos", "--ratings", str(csv)], csv),
+                       (["train", "--data", str(manifest), "--out", str(tmp_path / "out")],
+                        manifest)]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name}: "), err
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

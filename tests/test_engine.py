@@ -303,6 +303,15 @@ KERNEL_BLOCKS = {
           ("whole", 3), ("runs", 12), ("whole", 1)],
 }
 
+# The same for the BLAS scatter at the shapes it takes (C_long > 1; None
+# elsewhere): its rows are single short rows of c_short values, so the
+# weights' bytes hold whole examples of them.
+BLAS_BLOCKS = {
+    None: [None, ("whole", 1), ("whole", 1), None, ("whole", 1), ("whole", 1), None],
+    1: [None, ("whole", 1), ("whole", 1), None, ("whole", 2), ("whole", 3), None],
+    200: [None, ("whole", 1), ("whole", 1), None, ("whole", 1), ("whole", 3), None],
+}
+
 
 def _regime(blocks, rows):
     sizes = [pos.stop - pos.start for _, pos in blocks]
@@ -344,10 +353,12 @@ def test_conv_kernels_match_bruteforce_across_blocks(monkeypatch, block_bytes, l
         assert np.max(np.abs(cw.grad - conv1d_weight_grad_oracle(x, g, width, stride))) <= 1e-12
         assert np.max(np.abs(cx.grad - want)) <= 1e-12, form
         assert np.max(np.abs(up - want)) <= 1e-12, form
-        # correlate, weight gradient, then the two scatters where they fold:
-        # BLAS accumulation makes no block plan
+        # correlate, weight gradient, then the two scatters, each by the plan
+        # of its own rows
         folds = form == "fold" or eg._BLAS is None or c_long == 1
-        assert calls == [KERNEL_BLOCKS[block_bytes][shape]] * (4 if folds else 2)
+        scatter = KERNEL_BLOCKS if folds else BLAS_BLOCKS
+        assert calls == ([KERNEL_BLOCKS[block_bytes][shape]] * 2
+                         + [scatter[block_bytes][shape]] * 2)
 
 
 def test_blocks_are_bounded_by_the_larger_of_the_cap_and_the_weights():
@@ -486,6 +497,9 @@ def test_scatter_forms_are_bitwise_equal(monkeypatch):
     # At the default cap the full-scale dec2-dec5 folds split examples.
     # Full-scale dec8 at micro-batch 16 has C_short 512, past one K panel,
     # where the forms differ: the rule must give it the fold.
+    # Under 1- and 200-byte caps full-scale dec4's BLAS plan ends each
+    # example with a 32-row block, and OpenBLAS's small-matrix kernel gives
+    # that GEMM other bits, so full scale runs at the caps workloads use.
     default = eg._BLOCK_BYTES
     cases = [(call[:4], (default, 1, 200, 1 << 40)) for call in _train_adv_calls("_scatter")]
     assert len(cases) >= 8
@@ -513,12 +527,57 @@ def test_scatter_forms_are_bitwise_equal(monkeypatch):
                 if not taken:
                     continue            # it ran the fold itself
                 assert w_shape[2] <= eg._BLAS_MAX_C_SHORT, (dtype, short_shape, w_shape)
-                assert taken == list(range(-(-w_shape[0] // stride)))
+                # per block, last first: one call per tap group g, in
+                # ascending g, at the block's first output row + g
+                groups = -(-w_shape[0] // stride)
+                rows = max(-(-long_len // stride), short_shape[1] + groups)
+                blocks = eg._blocks(*short_shape[:2], short_shape[2] * short.itemsize, w.nbytes)
+                assert taken == [ex.start * rows + pos.start + g
+                                 for ex, pos in reversed(blocks) for g in range(groups)]
                 with scatter_form("fold"):
                     want = eg._scatter(short, w, stride, long_len, dtype)
                 assert got.dtype == dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (block_bytes, dtype, short_shape, w_shape)
     assert all(seen == {True, False} for seen in forms.values()), forms
+
+
+@pytest.mark.skipif(eg._BLAS is None, reason="numpy's OpenBLAS was not found")
+def test_conv_kernel_scratch_is_one_block(monkeypatch):
+    # full-scale dec2-dec4 at ENHANCE_BATCH windows in float32, where the
+    # scatter takes BLAS: its padded copy of the whole batch peaked at 8.0,
+    # 4.0 and 4.1 MB. Each kernel body frees a block's scratch before it
+    # makes the next, so the fold and the correlation hold one block too.
+    taken, gemm = [], eg._gemm_accumulate
+
+    def spy(*args):
+        taken.append(args[1])
+        gemm(*args)
+    monkeypatch.setattr(eg, "_gemm_accumulate", spy)
+    rng = np.random.default_rng(16)
+
+    def scratch(kernel, *args):
+        tracemalloc.start()
+        try:
+            out = kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (out.base if out.base is not None else out).nbytes
+
+    for k in (2, 3, 4):
+        short_shape, w_shape, stride, long_len = _full_scale_decoder_scatter(k)
+        short = rng.standard_normal(short_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        long = rng.standard_normal((short_shape[0], long_len, w_shape[1])).astype(np.float32)
+        cap = 1.1 * max(eg._BLOCK_BYTES, w.nbytes)
+        for form in SCATTER_FORMS:
+            taken.clear()
+            with scatter_form(form):
+                used = scratch(eg._scatter, short, w, stride, long_len, np.float32)
+            assert bool(taken) == (form == "blas"), (k, form)
+            assert used <= cap, (k, form, used, cap)
+        used = scratch(eg._correlate, long, w, stride, short_shape[1], np.float32)
+        assert used <= cap, (k, "correlate", used, cap)
 
 
 def _splits_examples(short_shape, w_shape):

@@ -68,6 +68,28 @@ def test_detects_kink_disagreement():
     assert grad_check(loss, [x], eps=1e-5) > 0.1
 
 
+def _nan_tanh(x):
+    # tanh whose backward hands back NaN gradients
+    def back(g):
+        eg._accum(x, np.full_like(g, np.nan))
+    return eg._make(np.tanh(x.data), (x,), back)
+
+
+def test_nan_gradient_fails_the_check(monkeypatch):
+    # max(0.0, nan) is 0.0, so a worst-error fold over NaNs once passed them
+    monkeypatch.setattr(eg, "tanh", _nan_tanh)
+    loss, params = OP_CASES["tanh"](np.random.default_rng(0))
+    assert grad_check(loss, params, eps=1e-5) == np.inf
+
+
+def test_nan_gradient_fails_segan_gradcheck(monkeypatch, capsys):
+    from segan.cli import main
+    monkeypatch.setattr(eg, "tanh", _nan_tanh)
+    monkeypatch.setattr(gradcheck, "OP_CASES", {"tanh": OP_CASES["tanh"]})
+    assert main(["gradcheck"]) == 2
+    assert "tanh" in capsys.readouterr().out.splitlines()[-1]
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ConfigError, match="seed"):
         check_all_ops(seed=-1)
