@@ -24,6 +24,7 @@ from .dataset import (
     ManifestEntry,
     NoiseKind,
     build_pairs,
+    duration_samples,
     iter_utterances,
     load_manifest,
     synth_clean,
@@ -280,8 +281,10 @@ def cmd_synth_data(v: dict) -> int:
         raise ConfigError("n_utterances must be >= 1")
     if v["seed"] < 0:
         raise ConfigError(f"synth-data.seed must be >= 0, got {v['seed']}")
-    if not v["duration_s"] > 0:
-        raise ConfigError(f"synth-data.duration_s must be positive, got {v['duration_s']}")
+    try:
+        duration_samples(v["duration_s"])
+    except ValueError as exc:
+        raise ConfigError(f"synth-data.duration_s: {exc}") from None
     out = Path(v["out"])
     out.mkdir(parents=True, exist_ok=True)
     n_test = round(n * SYNTH_TEST_FRACTION) if n > 1 else 0

@@ -8,6 +8,7 @@ so corpora regenerate bit-identically.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -90,11 +91,19 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarra
     return clean + g * n
 
 
+def duration_samples(duration_s: float) -> int:
+    """Samples in a signal duration_s long at SAMPLE_RATE; ValueError unless
+    that is a finite count of at least one."""
+    n = round(duration_s * SAMPLE_RATE) if math.isfinite(duration_s * SAMPLE_RATE) else 0
+    if n < 1:
+        raise ValueError(f"duration must be finite and hold at least one sample "
+                         f"(1/{SAMPLE_RATE} s), got {duration_s}")
+    return n
+
+
 def _time_axis(duration_s: float) -> np.ndarray:
     """Sample times in seconds of a signal duration_s long."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    return np.arange(round(duration_s * SAMPLE_RATE)) / SAMPLE_RATE
+    return np.arange(duration_samples(duration_s)) / SAMPLE_RATE
 
 
 def synth_clean(seed: int = 0, duration_s: float = 1.0) -> np.ndarray:

@@ -354,17 +354,15 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor | None, stride: int,
 # Three kernels serve both convolutions. A tap k connects long position
 # o*stride + k with short position o through w[k] (long channels, short
 # channels): conv1d runs long -> short, conv1d_transpose short -> long.
-# _correlate and _tap_grad are one GEMM per block of short positions over
-# im2col columns (Chellapilla et al. 2006): row o holds the width taps of
-# long channels that meet short position o. One scratch rule holds for
-# them and for both forms of _scatter: each walks the plan _blocks makes
-# from its own row bytes and frees a block's scratch before it makes the
-# next. A block may take the larger of _BLOCK_BYTES and the layer's weight
-# bytes, so a layer whose weights outweigh its rows runs as one GEMM and
-# reads each weight once, and the extra scratch never exceeds memory the
-# weights already hold. Blocks hold whole examples when one fits in that
-# bound, else runs of positions of one example, so the scratch memory
-# depends on shapes alone.
+# _correlate and _tap_grad are one GEMM per block of examples over im2col
+# columns (Chellapilla et al. 2006): row o holds the width taps of long
+# channels that meet short position o. One scratch rule holds for them and
+# for both forms of _scatter: each walks the plan _blocks makes from its
+# own bytes per example and frees a block's scratch before it makes the
+# next. A block holds as many whole examples as fit in the larger of
+# _BLOCK_BYTES and the layer's weight bytes, and one at the least, so a
+# layer whose weights outweigh its rows runs as one GEMM and reads each
+# weight once, and the scratch memory depends on shapes alone.
 
 _BLOCK_BYTES = 2 << 20
 _BLAS_MIN_ROWS = 1024   # fewer short rows than this and the numpy fold is faster
@@ -440,16 +438,12 @@ def _columns(long: np.ndarray, stride: int, short_len: int, width: int) -> np.nd
         writeable=False)
 
 
-def _blocks(batch: int, rows: int, row_bytes: int, weight_bytes: int) -> list[tuple[slice, slice]]:
-    """(examples, positions) slices covering batch x rows, each block at
-    most max(_BLOCK_BYTES, weight_bytes) of row_bytes-sized rows (one row at
-    the least)."""
-    per = max(1, max(_BLOCK_BYTES, weight_bytes) // row_bytes)
-    if per >= rows:
-        n = per // rows
-        return [(slice(b, b + n), slice(0, rows)) for b in range(0, batch, n)]
-    return [(slice(b, b + 1), slice(o, min(o + per, rows)))
-            for b in range(batch) for o in range(0, rows, per)]
+def _blocks(batch: int, example_bytes: int, weight_bytes: int) -> list[slice]:
+    """Slices of whole examples covering the batch, each as many examples
+    of example_bytes as fit in max(_BLOCK_BYTES, weight_bytes), and one at
+    the least."""
+    n = max(1, max(_BLOCK_BYTES, weight_bytes) // example_bytes)
+    return [slice(b, min(b + n, batch)) for b in range(0, batch, n)]
 
 
 def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dtype) -> np.ndarray:
@@ -458,11 +452,11 @@ def _correlate(long: np.ndarray, w: np.ndarray, stride: int, short_len: int, dty
     cols = _columns(long, stride, short_len, width)
     wk = w.reshape(width * c_long, c_short)
     out = np.empty((long.shape[0], short_len, c_short), dtype=dtype)
-    for ex, pos in _blocks(long.shape[0], short_len, width * c_long * long.itemsize, w.nbytes):
+    for ex in _blocks(long.shape[0], short_len * width * c_long * long.itemsize, w.nbytes):
         # GEMM on a contiguous copy of the overlapping windows runs about
         # twice as fast as on the view, and writes straight into out
-        blk = np.ascontiguousarray(cols[ex, pos]).reshape(-1, width * c_long)
-        dst = out[ex, pos].reshape(-1, c_short)
+        blk = np.ascontiguousarray(cols[ex]).reshape(-1, width * c_long)
+        dst = out[ex].reshape(-1, c_short)
         assert dst.base is out
         np.matmul(blk, wk, out=dst)
         del blk     # before the next block's copy is made
@@ -475,9 +469,10 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
     The output is R rows of stride positions per example, R = max(ceil(long_len
     / stride), short_len + groups), so tap group g (taps g*stride to g*stride +
     stride - 1) of short position o adds to row o + g. Both forms walk one
-    block plan, last block first, into that output; each adds an output's
-    taps in ascending group order with the GEMM's inner sum over C_short, so
-    they give the same bits while C_short fits one K panel:
+    plan of whole-example blocks into that output, so no two blocks share
+    an output; each adds an output's taps in ascending group order with the
+    GEMM's inner sum over C_short, so they give the same bits while C_short
+    fits one K panel:
     - BLAS accumulation, when numpy's OpenBLAS was found, C_long > 1,
       C_short <= _BLAS_MAX_C_SHORT, all arrays share one float dtype and
       there are at least _BLAS_MIN_ROWS short rows. A block's examples are
@@ -488,8 +483,7 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
       GEMM and are folded into the output by strided adds, stride taps per
       add (contiguous runs of stride * C_long values), or one tap per add
       when C_long is 1, where runs of two values make numpy's adds 2-4x
-      slower. Of two blocks of one example, the later positions add the
-      lower tap groups to the outputs they share, so they go first.
+      slower.
     """
     width, c_long, c_short = w.shape
     batch, short_len = short.shape[:2]
@@ -501,25 +495,23 @@ def _scatter(short: np.ndarray, w: np.ndarray, stride: int, long_len: int, dtype
     rows = max(-(-long_len // stride), short_len + groups)
     out = np.zeros((batch, rows * step), dtype=dtype)
     wk = w.reshape(width * c_long, c_short)
-    row_bytes = (c_short if blas else width * c_long) * short.itemsize
-    for ex, pos in reversed(_blocks(batch, short_len, row_bytes, w.nbytes)):
-        blk = short[ex, pos]
-        m, n = blk.shape[:2]
+    example_bytes = (rows * c_short if blas else short_len * width * c_long) * short.itemsize
+    for ex in _blocks(batch, example_bytes, w.nbytes):
+        blk = short[ex]
+        m = blk.shape[0]
         if blas:
-            r = rows if m > 1 else n        # one example's block needs no padding
-            a = np.zeros((m, r, c_short), dtype=dtype)
-            a[:, :n] = blk
-            a = a.reshape(-1, c_short)[:(m - 1) * r + n]
-            at = ex.start * rows + pos.start
+            a = np.zeros((m, rows, c_short), dtype=dtype)
+            a[:, :short_len] = blk
+            a = a.reshape(-1, c_short)[:(m - 1) * rows + short_len]
             for g in range(groups):
-                _gemm_accumulate(out.reshape(-1, step), at + g, a, wk[g * step:(g + 1) * step])
+                _gemm_accumulate(out.reshape(-1, step), ex.start * rows + g, a,
+                                 wk[g * step:(g + 1) * step])
             del a       # before the next block's copy is made
         else:
-            cols = (blk.reshape(-1, c_short) @ wk.T).reshape(m, n, width * c_long)
+            cols = (blk.reshape(-1, c_short) @ wk.T).reshape(m, short_len, width * c_long)
             for k in range(0, width, group):
                 c = min(group, width - k) * c_long
-                at = (pos.start * stride + k) * c_long
-                dst = out[ex, at:at + n * step].reshape(-1, n, step)
+                dst = out[ex, k * c_long:k * c_long + short_len * step].reshape(m, short_len, step)
                 dst[:, :, :c] += cols[:, :, k * c_long:k * c_long + c]
             del cols    # before the next block's columns are made
     return out.reshape(batch, rows * stride, c_long)[:, :long_len]
@@ -529,16 +521,18 @@ def _tap_grad(long: np.ndarray, short: np.ndarray, w: np.ndarray, stride: int) -
     """Gradient of <short, _correlate(long, w)> with respect to w, written in
     w's (width * C_long, C_short) layout. The first block's product is the
     result; each later block's is added a slice of rows at a time, a slice
-    at most an eighth of the block bound, so the scratch beside the result
-    is one column block and one slice."""
+    at most an eighth of the block bound, or of one example's columns where
+    those pass it, so the scratch beside the result is one column block and
+    one slice."""
     width, c_long, c_short = w.shape
     k = width * c_long
     cols = _columns(long, stride, short.shape[1], width)
-    step = max(1, max(_BLOCK_BYTES, w.nbytes) // 8 // (c_short * w.itemsize))
+    example_bytes = short.shape[1] * k * long.itemsize
+    step = max(1, max(_BLOCK_BYTES, w.nbytes, example_bytes) // 8 // (c_short * w.itemsize))
     gw = None
-    for ex, pos in _blocks(long.shape[0], short.shape[1], k * long.itemsize, w.nbytes):
-        blk = cols[ex, pos].reshape(-1, k)
-        s = short[ex, pos].reshape(-1, c_short)
+    for ex in _blocks(long.shape[0], example_bytes, w.nbytes):
+        blk = cols[ex].reshape(-1, k)
+        s = short[ex].reshape(-1, c_short)
         if gw is None:
             gw = blk.T @ s
         else:

@@ -38,7 +38,7 @@ from .audio_io import (
 )
 from .dataset import Corpus
 from .engine import Tensor, backward, no_grad, sample_z
-from .errors import ConfigError, NonFiniteLossError
+from .errors import ConfigError, CorruptCheckpointError, NonFiniteLossError
 from .model import (
     Discriminator,
     Generator,
@@ -270,7 +270,8 @@ def enhance_file(checkpoint_path, in_path, out_path,
     carries its last sample across blocks and z comes from one generator
     per file, so the output does not depend on the blocking. The output is
     renamed into place when complete: out_path may be in_path, and a
-    failure leaves no partial file.
+    failure leaves no partial file. A generator output that is not finite
+    raises CorruptCheckpointError naming the checkpoint.
     """
     if z_mode not in Z_MODES:
         raise ConfigError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
@@ -289,7 +290,13 @@ def enhance_file(checkpoint_path, in_path, out_path,
                 n = windows.shape[0]
                 z = (np.zeros((n, *z_shape), dtype=np.float32) if z_mode == "zero"
                      else sample_z(n, *z_shape, seed=rng).data)
-                g = g_forward(gen, windows.astype(np.float32)[..., None], Tensor(z))
+                # the windows lie in [-1, 1] and z is a normal draw: a
+                # non-finite output comes from the checkpoint's weights
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g = g_forward(gen, windows.astype(np.float32)[..., None], Tensor(z))
+                if not np.all(np.isfinite(g.data)):
+                    raise CorruptCheckpointError(
+                        f"{checkpoint_path}: the generator's output is not finite")
                 y = reassemble(g.data[:, :, 0], pad)
                 out = deemphasis(np.concatenate([[y_last], y]))[1:]
                 write(out)

@@ -132,9 +132,9 @@ def tap_grad_oracle(long, short, w, stride):
     width, c_long, c_short = w.shape
     cols = eg._columns(long, stride, short.shape[1], width)
     gw = np.zeros((c_short, width * c_long), dtype=w.dtype)
-    for ex, pos in eg._blocks(long.shape[0], short.shape[1], width * c_long * long.itemsize,
-                              w.nbytes):
-        gw += short[ex, pos].reshape(-1, c_short).T @ cols[ex, pos].reshape(-1, width * c_long)
+    example_bytes = short.shape[1] * width * c_long * long.itemsize
+    for ex in eg._blocks(long.shape[0], example_bytes, w.nbytes):
+        gw += short[ex].reshape(-1, c_short).T @ cols[ex].reshape(-1, width * c_long)
     return gw.T.reshape(width, c_long, c_short)
 
 

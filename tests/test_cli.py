@@ -334,6 +334,24 @@ def test_enhance_missing_checkpoint(tmp_path, capsys):
                  "--in", str(wav), "--out", str(tmp_path / "o.wav")]) == 2
 
 
+def test_enhance_names_a_checkpoint_whose_generator_overflows(tmp_path, capsys):
+    # finite weights near float32's limit: G's first matmuls overflow, which
+    # must end in one error line naming the checkpoint, not a numpy warning
+    ckpt, wav, out = tmp_path / "g.sgn", tmp_path / "c.wav", tmp_path / "o.wav"
+    gen = build_generator(GeneratorConfig(window=64, filter_width=5, enc_channels=(2, 3),
+                                          z_channels=4), seed=0)
+    for p in gen.parameters():
+        if p.name in ("g.enc1.w", "g.enc2.w"):
+            p.data[...] = 3e38 if p.name == "g.enc1.w" else -3e38
+    save_checkpoint(ckpt, gen)
+    write_raw_wav(wav, np.random.default_rng(0).integers(-16000, 16000, 200))
+    assert main(["enhance", "--checkpoint", str(ckpt), "--in", str(wav),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {ckpt}: the generator's output is not finite"]
+    assert not out.exists()
+
+
 def test_enhance_rejects_non_wav(tmp_path, capsys):
     ckpt = tmp_path / "g.sgn"
     save_checkpoint(ckpt, build_generator(
@@ -592,6 +610,9 @@ _INPUTS = {
     ("synth-data", "duration_s", "0"),
     ("synth-data", "duration_s", "-1"),
     ("synth-data", "duration_s", "nan"),
+    ("synth-data", "duration_s", "inf"),
+    ("synth-data", "duration_s", "0.00001"),     # no sample at 16 kHz
+    ("synth-data", "duration_s", "0.00003125"),  # half a sample, rounded to none
 ])
 def test_out_of_range_flag_is_rejected(tmp_path, capsys, sub, flag, value):
     write_wav(synth_clean(seed=5, duration_s=1.0), tmp_path / "noisy.wav")

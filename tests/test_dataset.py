@@ -81,8 +81,19 @@ def test_synth_clean_peak_bounded_over_100_seeds():
 
 def test_synth_clean_duration():
     assert len(synth_clean(seed=0, duration_s=0.5)) == 8000
+    assert len(synth_clean(seed=0, duration_s=1 / 16000)) == 1
     with pytest.raises(ValueError):
         synth_clean(seed=0, duration_s=0.0)
+
+
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, 1e-5, 0.5 / 16000, np.nan, np.inf, 1e308])
+def test_a_duration_without_a_sample_is_rejected(duration_s):
+    # 1e308 s is finite but holds more samples than a float does
+    with pytest.raises(ValueError, match="at least one sample"):
+        synth_clean(seed=0, duration_s=duration_s)
+    for kind in NoiseKind:
+        with pytest.raises(ValueError, match="at least one sample"):
+            synth_noise(kind, seed=0, duration_s=duration_s)
 
 
 def test_synth_clean_spectral_peak_sits_on_a_harmonic():
